@@ -1040,6 +1040,34 @@ let diagnosis_bench () =
   let ratio = mean /. Float.max (float_of_int fixed) 1e-9 in
   let agree = sw.Diagnosis.Sequential.all_agree in
   let saved = mean < float_of_int fixed in
+  (* One session per single fault, read the way `fpva diagnose
+     --sequential --noise 0.02` reads a chip: a uniform 0.02 meter behind
+     a 3-read majority, stopping at confidence 0.95. *)
+  let noisy_sessions_per_s =
+    let module Measurement = Fpva_sim.Measurement in
+    let meter = Measurement.uniform fpva ~false_pass:0.02 ~false_fail:0.02 in
+    let config =
+      { Diagnosis.Sequential.false_pass = Measurement.vector_false_pass meter;
+        false_fail = Measurement.vector_false_fail meter;
+        confidence = 0.95;
+        max_reads = None }
+    in
+    let h = Fpva_sim.Simulator.make fpva in
+    let rng = Fpva_util.Rng.create 7 in
+    let policy = Retest.policy 3 in
+    let (), seconds =
+      Fpva_util.Timer.time (fun () ->
+          List.iter
+            (fun fault ->
+              ignore
+                (Diagnosis.Sequential.run ~config dict ~read:(fun _ v ->
+                     (Retest.apply policy ~read:(fun _ ->
+                          Measurement.detects_h meter rng h ~faults:[ fault ] v))
+                       .Retest.failed)))
+            faults)
+    in
+    float_of_int (List.length faults) /. seconds
+  in
   Printf.printf "dictionary       : %d faults, %d vectors, %d classes \
                  (resolution %.2f)\n"
     (List.length faults) suite.Pipeline.total classes resolution;
@@ -1048,6 +1076,9 @@ let diagnosis_bench () =
      %.2fs\n"
     sw.Diagnosis.Sequential.sessions mean sw.Diagnosis.Sequential.p95_reads
     sw.Diagnosis.Sequential.max_session_reads wall;
+  Printf.printf "noisy sessions   : %.1f sessions/s (noise 0.02, 3-read \
+                 majority, confidence 0.95)\n"
+    noisy_sessions_per_s;
   Printf.printf "fixed suite      : %d reads per session\n" fixed;
   Printf.printf
     "reads ratio      : %.2f (gate: < 1.0), outcome classes bit-identical \
@@ -1075,12 +1106,15 @@ let diagnosis_bench () =
     \  \"sequential_max_reads\": %d,\n\
     \  \"fixed_suite_reads\": %d,\n\
     \  \"reads_ratio\": %.4f,\n\
+    \  \"sweep_wall_s\": %.6f,\n\
+    \  \"noisy_sessions_per_s\": %.1f,\n\
     \  \"mean_reads_below_fixed\": %b,\n\
     \  \"outcome_classes_match\": %b\n\
      }\n"
     suite.Pipeline.total (List.length faults) classes resolution
     sw.Diagnosis.Sequential.sessions mean sw.Diagnosis.Sequential.p95_reads
-    sw.Diagnosis.Sequential.max_session_reads fixed ratio saved agree;
+    sw.Diagnosis.Sequential.max_session_reads fixed ratio wall
+    noisy_sessions_per_s saved agree;
   close_out oc;
   Printf.printf "wrote BENCH_diagnosis.json\n";
   let artifact_ok =
@@ -1120,7 +1154,7 @@ let diagnosis_bench () =
           "sequential_max_reads"; "fixed_suite_reads" ];
       List.iter need_pos_float
         [ "resolution"; "sequential_mean_reads"; "sequential_p95_reads";
-          "reads_ratio" ];
+          "reads_ratio"; "sweep_wall_s"; "noisy_sessions_per_s" ];
       List.iter need_true
         [ "mean_reads_below_fixed"; "outcome_classes_match" ];
       List.iter

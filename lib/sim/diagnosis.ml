@@ -2,10 +2,29 @@ module Tv = Fpva_testgen.Test_vector
 
 type syndrome = bool array
 
+(* Everything a read needs is computed once, in [build].  The syndromes
+   are stored vector-major: byte [v * n_f + e] of [bits] is '\001' iff
+   entry [e]'s fault fails vector [v], so the per-read loops over
+   candidates are flat byte loads.  [class_of] numbers the equivalence
+   classes by first appearance, [index] maps a syndrome's [key] to its
+   class, and [classes] lists each class's faults in dictionary order. *)
 type dictionary = {
   vectors : Tv.t array;
-  entries : (Fault.t * syndrome) array;
+  faults : Fault.t array;
+  bits : Bytes.t;
+  class_of : int array;
+  classes : Fault.t list array;
+  index : (string, int) Hashtbl.t;
 }
+
+let key (s : syndrome) =
+  String.init (Array.length s) (fun v -> if s.(v) then '1' else '0')
+
+(* Entry [e]'s syndrome, gathered from the vector-major bits. *)
+let syndrome dict e =
+  let n_f = Array.length dict.faults in
+  Array.init (Array.length dict.vectors) (fun v ->
+      Bytes.get dict.bits ((v * n_f) + e) = '\001')
 
 let single_faults fpva =
   let nv = Fpva_grid.Fpva.num_valves fpva in
@@ -86,15 +105,46 @@ let build ?(jobs = 1) ?checkpoint fpva ~vectors ~faults =
           Checkpoint.flush ck;
           Array.init n (fun i -> Option.get (Checkpoint.Shards.get sh i))
       in
-      { vectors = vecs; entries = Array.mapi (fun i s -> (fa.(i), s)) syndromes })
+      let bits = Bytes.make (Array.length vecs * n) '\000' in
+      let index = Hashtbl.create 64 in
+      let class_of =
+        Array.mapi
+          (fun e s ->
+            Array.iteri
+              (fun v b -> if b then Bytes.set bits ((v * n) + e) '\001')
+              s;
+            let k = key s in
+            match Hashtbl.find_opt index k with
+            | Some c -> c
+            | None ->
+              let c = Hashtbl.length index in
+              Hashtbl.add index k c;
+              c)
+          syndromes
+      in
+      let classes = Array.make (Hashtbl.length index) [] in
+      for e = n - 1 downto 0 do
+        classes.(class_of.(e)) <- fa.(e) :: classes.(class_of.(e))
+      done;
+      { vectors = vecs; faults = fa; bits; class_of; classes; index })
 
 let all_pass s = Array.for_all not s
 
+let check_length fn dict (observed : syndrome) =
+  let n = Array.length dict.vectors in
+  if Array.length observed <> n then
+    invalid_arg
+      (Printf.sprintf
+         "Diagnosis.%s: syndrome of length %d, dictionary has %d vectors" fn
+         (Array.length observed) n)
+
 let diagnose dict observed =
+  check_length "diagnose" dict observed;
   if all_pass observed then []
   else
-    Array.to_list dict.entries
-    |> List.filter_map (fun (f, s) -> if s = observed then Some f else None)
+    match Hashtbl.find_opt dict.index (key observed) with
+    | Some c -> dict.classes.(c)
+    | None -> []
 
 type ranked = {
   fault : Fault.t;
@@ -115,13 +165,15 @@ let check_flip_rate fn r =
 let rank ?(false_pass = 0.0) ?(false_fail = 0.0) ?limit dict observed =
   check_flip_rate "rank" false_pass;
   check_flip_rate "rank" false_fail;
+  check_length "rank" dict observed;
   let l_fp = if false_pass > 0.0 then log false_pass else neg_infinity in
   let l_nfp = log (1.0 -. false_pass) in
   let l_ff = if false_fail > 0.0 then log false_fail else neg_infinity in
   let l_nff = log (1.0 -. false_fail) in
   let scored =
-    Array.to_list dict.entries
-    |> List.map (fun (f, s) ->
+    Array.to_list dict.faults
+    |> List.mapi (fun e f ->
+           let s = syndrome dict e in
            let ll = ref 0.0 in
            Array.iteri
              (fun i o ->
@@ -181,30 +233,18 @@ let subset a b =
   !ok
 
 let diagnose_subsuming dict observed =
+  check_length "diagnose_subsuming" dict observed;
   if all_pass observed then []
   else
-    Array.to_list dict.entries
-    |> List.filter_map (fun (f, s) ->
-           if (not (all_pass s)) && subset s observed then Some f else None)
+    Array.to_list dict.faults
+    |> List.filteri (fun e _ ->
+           let s = syndrome dict e in
+           (not (all_pass s)) && subset s observed)
 
-let equivalence_classes dict =
-  let table = Hashtbl.create 64 in
-  let order = ref [] in
-  Array.iter
-    (fun (f, s) ->
-      let key = Array.to_list s in
-      (match Hashtbl.find_opt table key with
-      | Some fs -> Hashtbl.replace table key (f :: fs)
-      | None ->
-        Hashtbl.add table key [ f ];
-        order := key :: !order))
-    dict.entries;
-  List.rev_map (fun key -> List.rev (Hashtbl.find table key)) !order
+let equivalence_classes dict = Array.to_list dict.classes
 
 let resolution dict =
-  let classes = List.length (equivalence_classes dict) in
-  let faults = Array.length dict.entries in
-  Fpva_util.Stats.ratio classes faults
+  Fpva_util.Stats.ratio (Array.length dict.classes) (Array.length dict.faults)
 
 let distinguishing_vector ?handle fpva vectors f1 f2 =
   (* Compiling a fresh handle per call turns any loop over fault pairs
@@ -259,8 +299,9 @@ module Sequential = struct
     check_flip_rate "Sequential.run" config.false_pass;
     check_flip_rate "Sequential.run" config.false_fail;
     check_confidence config.confidence;
-    let n_f = Array.length dict.entries in
+    let n_f = Array.length dict.faults in
     let n_v = Array.length dict.vectors in
+    let bits = dict.bits and class_of = dict.class_of in
     let budget =
       match config.max_reads with
       | None -> n_v
@@ -277,12 +318,12 @@ module Sequential = struct
       if config.false_fail > 0.0 then log config.false_fail else neg_infinity
     in
     let l_nff = log (1.0 -. config.false_fail) in
-    (* P(observe fail | candidate's dictionary bit is [s]) *)
-    let p_fail s = if s then 1.0 -. config.false_pass else config.false_fail in
-    let syndrome i = snd dict.entries.(i) in
+    (* P(observe fail | candidate's dictionary bit is set / clear) *)
+    let p_fail_set = 1.0 -. config.false_pass
+    and p_fail_clear = config.false_fail in
     let ll = Array.make n_f 0.0 in
     let weights = Array.make n_f 0.0 in
-    let observed : bool option array = Array.make n_v None in
+    let unread = Array.make n_v true in
     (* Softmax over survivors; fills [weights] and returns the partition
        sum (0 when every candidate has been eliminated). *)
     let posterior () =
@@ -307,22 +348,16 @@ module Sequential = struct
       done;
       !n
     in
-    (* Surviving candidates grouped by full dictionary syndrome: the class
-       count drives the isolation stop, the top class the confidence
-       stop. *)
-    let surviving_classes () =
-      let table = Hashtbl.create 32 in
-      let n = ref 0 in
-      for i = 0 to n_f - 1 do
-        if ll.(i) > neg_infinity then begin
-          let key = Array.to_list (syndrome i) in
-          if not (Hashtbl.mem table key) then begin
-            Hashtbl.add table key ();
-            incr n
-          end
-        end
-      done;
-      !n
+    (* The isolation stop: no two survivors lie in different equivalence
+       classes.  Stops scanning at the first survivor of a second class. *)
+    let single_class () =
+      let rec scan i c =
+        if i = n_f then true
+        else if ll.(i) = neg_infinity then scan (i + 1) c
+        else if c < 0 || class_of.(i) = c then scan (i + 1) class_of.(i)
+        else false
+      in
+      scan 0 (-1)
     in
     let top_index () =
       let best = ref (-1) in
@@ -339,12 +374,12 @@ module Sequential = struct
       let isolated, class_confidence =
         if top < 0 then ([], 0.0)
         else begin
-          let ts = syndrome top in
+          let tc = class_of.(top) in
           let members = ref [] in
           let mass = ref 0.0 in
           for i = n_f - 1 downto 0 do
-            if ll.(i) > neg_infinity && syndrome i = ts then begin
-              members := fst dict.entries.(i) :: !members;
+            if ll.(i) > neg_infinity && class_of.(i) = tc then begin
+              members := dict.faults.(i) :: !members;
               mass := !mass +. weights.(i)
             end
           done;
@@ -362,13 +397,12 @@ module Sequential = struct
     let rec loop () =
       let z = posterior () in
       if z = 0.0 then finish Exhausted z
-      else if surviving_classes () <= 1 then finish Isolated z
+      else if single_class () then finish Isolated z
       else begin
-        let top = top_index () in
-        let ts = syndrome top in
+        let tc = class_of.(top_index ()) in
         let top_mass = ref 0.0 in
         for i = 0 to n_f - 1 do
-          if ll.(i) > neg_infinity && syndrome i = ts then
+          if ll.(i) > neg_infinity && class_of.(i) = tc then
             top_mass := !top_mass +. weights.(i)
         done;
         if !top_mass /. z >= config.confidence then finish Confident z
@@ -382,11 +416,17 @@ module Sequential = struct
           let best = ref (-1) in
           let best_score = ref 0.0 in
           for v = 0 to n_v - 1 do
-            if observed.(v) = None then begin
+            if unread.(v) then begin
+              let row = v * n_f in
               let q = ref 0.0 in
               for i = 0 to n_f - 1 do
-                if weights.(i) > 0.0 then
-                  q := !q +. (weights.(i) *. p_fail (syndrome i).(v))
+                if weights.(i) > 0.0 then begin
+                  let p =
+                    if Bytes.get bits (row + i) = '\001' then p_fail_set
+                    else p_fail_clear
+                  in
+                  q := !q +. (weights.(i) *. p)
+                end
               done;
               let score = binary_entropy (!q /. z) in
               if score > !best_score then begin
@@ -399,11 +439,12 @@ module Sequential = struct
           else begin
             let v = !best in
             let o = read v dict.vectors.(v) in
-            observed.(v) <- Some o;
+            unread.(v) <- false;
             incr reads;
+            let row = v * n_f in
             for i = 0 to n_f - 1 do
               let term =
-                match ((syndrome i).(v), o) with
+                match (Bytes.get bits (row + i) = '\001', o) with
                 | true, true -> l_nfp
                 | true, false -> l_fp
                 | false, true -> l_ff
@@ -438,7 +479,7 @@ module Sequential = struct
   }
 
   let replay_entry ?(config = ideal) dict i =
-    let f, s = dict.entries.(i) in
+    let f = dict.faults.(i) and s = syndrome dict i in
     let outcome = run ~config dict ~read:(fun v _ -> s.(v)) in
     (* Parity with the fixed-suite path: [diagnose] answers [] on an
        all-pass syndrome (where the session necessarily observes only
@@ -454,7 +495,7 @@ module Sequential = struct
     { fault = f; reads = outcome.reads; agreed; replay_all_pass = all_pass s }
 
   let sweep ?(config = ideal) dict =
-    let n = Array.length dict.entries in
+    let n = Array.length dict.faults in
     let tags =
       if Trace.is_enabled () then
         [ ("candidates", string_of_int n);

@@ -31,7 +31,9 @@ val build :
 (** Simulate every candidate fault against every vector.  Candidates are
     independent, so [jobs] (default 1) shards them across that many domains
     (each with a private simulator handle); the dictionary is identical for
-    every [jobs] value.
+    every [jobs] value.  The equivalence classes are indexed here, once,
+    so {!diagnose} is one lookup and a {!Sequential} read costs no
+    hashing.
 
     [checkpoint] journals completed candidate shards through the given
     store and replays journaled ones, exactly as in
@@ -59,7 +61,9 @@ val diagnose : dictionary -> syndrome -> Fault.t list
 (** Candidate faults whose dictionary syndrome equals the observation.
     An all-pass syndrome returns [] (nothing to explain); an observed
     syndrome matching no candidate also returns [] (multi-fault or
-    out-of-model behaviour). *)
+    out-of-model behaviour).
+    @raise Invalid_argument if the observation's length is not the
+    dictionary's vector count. *)
 
 type ranked = {
   fault : Fault.t;
@@ -92,7 +96,8 @@ val rank :
     observation — each with equal confidence.  (On an all-pass observation
     [diagnose] short-circuits to []; [rank] instead returns the
     undetected-fault class, which is the honest answer under noise.)
-    @raise Invalid_argument if a rate is outside [0,1) or [limit < 1]. *)
+    @raise Invalid_argument if a rate is outside [0,1), [limit < 1], or
+    the observation's length is not the dictionary's vector count. *)
 
 val top_class : ranked list -> ranked list
 (** The maximum-likelihood equivalence class: every candidate whose
@@ -101,11 +106,15 @@ val top_class : ranked list -> ranked list
 val diagnose_subsuming : dictionary -> syndrome -> Fault.t list
 (** Weaker matching for multi-fault observations: candidates whose syndrome
     is a non-empty subset of the observed failures (each such fault alone
-    explains part of the observation). *)
+    explains part of the observation).
+    @raise Invalid_argument if the observation's length is not the
+    dictionary's vector count. *)
 
 val equivalence_classes : dictionary -> Fault.t list list
 (** Faults grouped by identical syndrome (the suite cannot tell members of
-    a class apart).  Undetected faults form the all-pass class. *)
+    a class apart).  Undetected faults form the all-pass class.  Classes
+    come in order of first appearance in the dictionary, and members in
+    dictionary order. *)
 
 val resolution : dictionary -> float
 (** Number of distinguishable classes divided by number of faults: 1.0
@@ -155,8 +164,10 @@ module Sequential : sig
     | Isolated  (** survivors form a single equivalence class *)
     | Confident  (** top-class posterior mass reached [confidence] *)
     | Exhausted
-        (** read budget spent, no informative vector left, or every
-            candidate eliminated (out-of-model observation) *)
+        (** read budget spent, no informative vector left, or no
+            candidate at all (an empty dictionary: a vector is read only
+            when survivors disagree on it, so reads never eliminate
+            every candidate) *)
 
   type step = {
     vector : int;  (** index into the dictionary's vector array *)
@@ -170,8 +181,8 @@ module Sequential : sig
     isolated : Fault.t list;
         (** the maximum-posterior equivalence class, in dictionary
             order; at zero noise on an in-model chip this equals
-            {!diagnose} on the full syndrome (empty when every candidate
-            was eliminated) *)
+            {!diagnose} on the full syndrome (empty only for an empty
+            dictionary) *)
     class_confidence : float;
         (** posterior mass of [isolated] (1.0 at zero-noise isolation) *)
     stop : stop;

@@ -17,6 +17,19 @@ let fixture =
      let dict = Diagnosis.build t ~vectors:suite.Pipeline.vectors ~faults in
      (t, suite, dict))
 
+(* Every [qcheck_layout] property draws the same layouts in a run (the
+   seed is pinned), so each layout's suite is generated once. *)
+let suites = Hashtbl.create 32
+
+let suite_of t =
+  let key = Render.plain t in
+  match Hashtbl.find_opt suites key with
+  | Some r -> r
+  | None ->
+    let r = Pipeline.run t in
+    Hashtbl.add suites key r;
+    r
+
 (* ---------- Sequential diagnosis ---------- *)
 
 let sequential_tests =
@@ -116,7 +129,7 @@ let sequential_tests =
     qcheck_layout ~count:20
       "zero-noise sequential isolates diagnose's equivalence class"
       (fun t ->
-        match Pipeline.run t with
+        match suite_of t with
         | Error _ -> true
         | Ok suite ->
           let faults = Diagnosis.single_faults t in
@@ -139,6 +152,186 @@ let sequential_tests =
           (Diagnosis.distinguishing_vector ~handle:h t suite.Pipeline.vectors
              f1 f2
           = Diagnosis.distinguishing_vector t suite.Pipeline.vectors f1 f2));
+  ]
+
+(* ---------- Dictionary index vs the reference implementations ---------- *)
+
+module Oracle = Diagnosis_oracle
+module Seq = Diagnosis.Sequential
+
+(* The layout's suite, indexed dictionary and reference entries; [None]
+   when there is nothing to diagnose. *)
+let indexed t =
+  match suite_of t with
+  | Error _ -> None
+  | Ok suite ->
+    let vectors = suite.Pipeline.vectors in
+    let faults = Diagnosis.single_faults t in
+    if faults = [] || vectors = [] then None
+    else
+      Some
+        ( vectors,
+          Diagnosis.build t ~vectors ~faults,
+          Oracle.entries t ~vectors ~faults )
+
+let same_outcome (a : Seq.outcome) (b : Seq.outcome) =
+  a.Seq.steps = b.Seq.steps
+  && a.Seq.reads = b.Seq.reads
+  && List.equal Fault.equal a.Seq.isolated b.Seq.isolated
+  && a.Seq.stop = b.Seq.stop
+  && a.Seq.all_pass = b.Seq.all_pass
+  && Int64.equal
+       (Int64.bits_of_float a.Seq.class_confidence)
+       (Int64.bits_of_float b.Seq.class_confidence)
+
+(* One session per implementation on the same chip, each read through the
+   meter and a 3-read majority from its own copy of one seeded stream. *)
+let both_sessions t ~vectors dict entries ~noise ~config ~seed chip =
+  let meter = Measurement.uniform t ~false_pass:noise ~false_fail:noise in
+  let h = Simulator.make t in
+  let read rng _ v =
+    (Retest.apply (Retest.policy 3) ~read:(fun _ ->
+         Measurement.detects_h meter rng h ~faults:chip v))
+      .Retest.failed
+  in
+  ( Seq.run ~config dict ~read:(read (Rng.create seed)),
+    Oracle.run ~config ~vectors entries ~read:(read (Rng.create seed)) )
+
+let differential_configs t =
+  List.concat_map
+    (fun noise ->
+      let meter = Measurement.uniform t ~false_pass:noise ~false_fail:noise in
+      List.concat_map
+        (fun confidence ->
+          List.map
+            (fun max_reads ->
+              ( noise,
+                { Seq.false_pass = Measurement.vector_false_pass meter;
+                  false_fail = Measurement.vector_false_fail meter;
+                  confidence; max_reads } ))
+            [ None; Some 3 ])
+        [ 0.9; 0.95; 1.0 ])
+    [ 0.0; 0.02; 0.05 ]
+
+(* Two single and two double stuck-at chips drawn from the layout's own
+   fault universe; the doubles use two distinct valves. *)
+let chips rng faults =
+  let fa = Array.of_list faults in
+  let pick () = Rng.pick rng fa in
+  let rec double () =
+    let a = pick () and b = pick () in
+    if Fault.valves_involved a = Fault.valves_involved b then double ()
+    else [ a; b ]
+  in
+  let singles = [ [ pick () ]; [ pick () ] ] in
+  if Array.length fa < 4 then singles else singles @ [ double (); double () ]
+
+let index_tests =
+  [
+    qcheck_layout ~count:20
+      "sessions equal the per-step reference bit for bit"
+      (fun t ->
+        match indexed t with
+        | None -> true
+        | Some (vectors, dict, entries) ->
+          let rng = Rng.create (Array.length entries) in
+          let chips = chips rng (List.map fst (Array.to_list entries)) in
+          List.for_all
+            (fun (noise, config) ->
+              List.for_all
+                (fun chip ->
+                  let a, b =
+                    both_sessions t ~vectors dict entries ~noise ~config
+                      ~seed:(Rng.int rng 1_000_000) chip
+                  in
+                  same_outcome a b)
+                chips)
+            (differential_configs t));
+    case "only an empty candidate set ends with nothing isolated" (fun () ->
+        (* At zero noise every survivor weighs 1, and a vector is read only
+           when some survivors predict it failing and some passing, so
+           either outcome keeps one: an out-of-model double fault ends in
+           some class, never with every candidate eliminated.  The
+           empty-handed [Exhausted] exit is reached from an empty
+           dictionary. *)
+        let t, suite, dict = Lazy.force fixture in
+        let vectors = suite.Pipeline.vectors in
+        let entries =
+          Oracle.entries t ~vectors ~faults:(Diagnosis.single_faults t)
+        in
+        let nv = Fpva.num_valves t in
+        for a = 0 to nv - 1 do
+          let chip = [ Fault.Stuck_at_0 a; Fault.Stuck_at_1 ((a + 7) mod nv) ] in
+          let got, want =
+            both_sessions t ~vectors dict entries ~noise:0.0 ~config:Seq.ideal
+              ~seed:a chip
+          in
+          checkb "same outcome" true (same_outcome got want);
+          checkb "a class survives" true (got.Seq.isolated <> [])
+        done;
+        let empty = Diagnosis.build t ~vectors ~faults:[] in
+        let got, want =
+          both_sessions t ~vectors empty [||] ~noise:0.0 ~config:Seq.ideal
+            ~seed:0 [ Fault.Stuck_at_0 0 ]
+        in
+        checkb "empty: same outcome" true (same_outcome got want);
+        checkb "empty: exhausted before any read" true
+          (got.Seq.stop = Seq.Exhausted && got.Seq.reads = 0
+          && got.Seq.isolated = []));
+    qcheck_layout ~count:20
+      "classes, resolution and diagnose equal the list-keyed grouping"
+      (fun t ->
+        match indexed t with
+        | None -> true
+        | Some (vectors, dict, entries) ->
+          let rng = Rng.create (Array.length entries) in
+          let n_v = List.length vectors in
+          let flipped (_, s) =
+            let s = Array.copy s in
+            for _ = 0 to Rng.int rng 3 do
+              let v = Rng.int rng n_v in
+              s.(v) <- not s.(v)
+            done;
+            s
+          in
+          let observations =
+            Array.make n_v false
+            :: List.concat_map
+                 (fun e -> [ snd e; flipped e ])
+                 (Array.to_list entries)
+          in
+          List.equal (List.equal Fault.equal)
+            (Diagnosis.equivalence_classes dict)
+            (Oracle.equivalence_classes entries)
+          && Diagnosis.resolution dict = Oracle.resolution entries
+          && List.for_all
+               (fun o ->
+                 List.equal Fault.equal (Diagnosis.diagnose dict o)
+                   (Oracle.diagnose entries o))
+               observations);
+  ]
+
+(* Every observed-syndrome entry point refuses a length other than the
+   dictionary's vector count, naming itself. *)
+let rejects_wrong_length name f =
+  case (name ^ " rejects a wrong-length syndrome") (fun () ->
+      let _, suite, dict = Lazy.force fixture in
+      let n = List.length suite.Pipeline.vectors in
+      List.iter
+        (fun len ->
+          match f dict (Array.make len true) with
+          | exception Invalid_argument msg ->
+            checkb msg true
+              (String.starts_with ~prefix:("Diagnosis." ^ name ^ ":") msg)
+          | _ -> Alcotest.failf "%s accepted length %d of %d" name len n)
+        [ 0; n - 1; n + 1 ])
+
+let length_tests =
+  [
+    rejects_wrong_length "diagnose" (fun d o -> ignore (Diagnosis.diagnose d o));
+    rejects_wrong_length "diagnose_subsuming" (fun d o ->
+        ignore (Diagnosis.diagnose_subsuming d o));
+    rejects_wrong_length "rank" (fun d o -> ignore (Diagnosis.rank d o));
   ]
 
 (* ---------- Lifetime wear campaigns ---------- *)
@@ -293,4 +486,5 @@ let bugfix_tests =
         | _ -> Alcotest.fail "rank accepted a negative limit");
   ]
 
-let tests = sequential_tests @ lifetime_tests @ bugfix_tests
+let tests =
+  sequential_tests @ index_tests @ length_tests @ lifetime_tests @ bugfix_tests
