@@ -407,37 +407,94 @@ let extensions () =
 (* Campaign throughput: compiled core vs the per-call reference path   *)
 (* ------------------------------------------------------------------ *)
 
+module Campaign = Fpva_sim.Campaign
+module Simulator = Fpva_sim.Simulator
+
+(* The per-trial engine the bit-parallel batches replaced, kept as the
+   speedup baseline: one trial per simulation, run through
+   [Checkpoint.Shards.run] like [Campaign.run] but with one trial per unit
+   instead of a 63-lane batch, so a timed pair differs only in the
+   kernel.  Trial [g] draws
+   from [Rng.derive seed g], exactly as in [Campaign.run], and is scored
+   by [detects], built once per worker. *)
+type trial_outcome = Detected of int | Escaped of Fpva_sim.Fault.t list | Void
+
+let row_of_outcomes ~fault_count outcomes =
+  let detected = ref 0 and latency_sum = ref 0 and escapes = ref [] in
+  let short_draws = ref 0 and void_draws = ref 0 in
+  Array.iter
+    (fun (short, outcome) ->
+      if short then incr short_draws;
+      match outcome with
+      | Void -> incr void_draws
+      | Detected ix ->
+        incr detected;
+        latency_sum := !latency_sum + ix
+      | Escaped faults -> escapes := faults :: !escapes)
+    outcomes;
+  { Campaign.fault_count; trials = Array.length outcomes;
+    detected = !detected; escapes = List.rev !escapes;
+    short_draws = !short_draws; void_draws = !void_draws;
+    mean_latency =
+      (if !detected = 0 then nan
+       else float_of_int !latency_sum /. float_of_int !detected) }
+
+let scalar_campaign_run ~detects (config : Campaign.config) fpva ~vectors =
+  let t0 = Fpva_util.Timer.now () in
+  let counts = Array.of_list config.Campaign.fault_counts in
+  let trials = config.Campaign.trials in
+  let trial detects g =
+    let fault_count = counts.(g / trials) in
+    let faults =
+      Campaign.draw_faults
+        (Fpva_util.Rng.derive config.Campaign.seed g)
+        fpva ~classes:config.Campaign.classes ~count:fault_count
+    in
+    let short = List.length faults < fault_count in
+    let rec scan i = function
+      | [] -> Escaped faults
+      | v :: rest -> if detects ~faults v then Detected i else scan (i + 1) rest
+    in
+    (short, if faults = [] then Void else scan 1 vectors)
+  in
+  let grid =
+    Fpva_sim.Checkpoint.Shards.run ~jobs:1 ~rows:(Array.length counts) ~trials
+      ~unit:1 ~empty:(false, Void) ~init:detects
+      ~body:(fun detects ~lo ~width:_ -> [| trial detects lo |])
+      ()
+  in
+  let rows =
+    List.mapi
+      (fun r fault_count ->
+        row_of_outcomes ~fault_count
+          (Option.get grid.Fpva_sim.Checkpoint.Shards.rows.(r)))
+      config.Campaign.fault_counts
+  in
+  { Campaign.rows; truncated = [];
+    wall_seconds = Fpva_util.Timer.elapsed t0 }
+
+let compiled_detects fpva () = Simulator.detects_h (Simulator.make fpva)
+
 (* The pre-refactor application path, reconstructed on top of the kept
    specification traversal: every vector application re-derives effective
    valve states and walks the grid node-by-node through an edge-valued
-   predicate.  Same RNG seed and draw order as [Campaign.run], so the two
-   paths score identical fault sets and must agree on detection counts. *)
-let legacy_campaign_run config fpva ~vectors =
-  let t0 = Fpva_util.Timer.now () in
-  let rng = Fpva_util.Rng.create config.Fpva_sim.Campaign.seed in
-  let detects ~faults v =
-    let states =
-      Fpva_sim.Simulator.effective_states fpva ~faults
-        ~open_valves:v.Test_vector.open_valves
-    in
-    let obs =
-      Graph.pressurized_sinks_spec fpva ~open_edge:(fun e ->
-          match Fpva.valve_id_opt fpva e with
-          | Some vid -> states.(vid)
-          | None -> true)
-    in
-    obs <> v.Test_vector.golden
+   predicate.  Same draws as [Campaign.run], so the two paths score
+   identical fault sets and must agree on detection counts. *)
+let spec_detects fpva () ~faults v =
+  let states =
+    Simulator.effective_states fpva ~faults
+      ~open_valves:v.Test_vector.open_valves
   in
-  let detected = ref 0 in
-  List.iter
-    (fun fault_count ->
-      for _ = 1 to config.Fpva_sim.Campaign.trials do
-        let faults = Fpva_sim.Fault.random_multi rng fpva ~count:fault_count in
-        if faults <> [] && List.exists (fun v -> detects ~faults v) vectors
-        then incr detected
-      done)
-    config.Fpva_sim.Campaign.fault_counts;
-  (!detected, Fpva_util.Timer.now () -. t0)
+  let obs =
+    Graph.pressurized_sinks_spec fpva ~open_edge:(fun e ->
+        match Fpva.valve_id_opt fpva e with
+        | Some vid -> states.(vid)
+        | None -> true)
+  in
+  obs <> v.Test_vector.golden
+
+let detected_total (r : Campaign.result) =
+  List.fold_left (fun acc row -> acc + row.Campaign.detected) 0 r.Campaign.rows
 
 (* Every field of BENCH_campaign.json is computed by this function, this
    run — nothing is copied forward from a previous artifact.  After
@@ -456,20 +513,12 @@ let campaign_bench ~trials () =
   in
   let total_trials = trials * List.length config.Fpva_sim.Campaign.fault_counts in
   let rate n wall = float_of_int n /. Float.max wall 1e-9 in
-  (* Compiled path, ideal meters, on the legacy stream so the detection
-     counts are comparable draw-for-draw with [legacy_campaign_run]. *)
-  let ideal =
-    Fpva_sim.Campaign.run ~config ~stream:Fpva_sim.Campaign.Legacy fpva
-      ~vectors
-  in
-  let ideal_detected =
-    List.fold_left
-      (fun acc r -> acc + r.Fpva_sim.Campaign.detected)
-      0 ideal.Fpva_sim.Campaign.rows
-  in
+  (* Compiled path, ideal meters. *)
+  let ideal = Campaign.run ~config fpva ~vectors in
+  let ideal_detected = detected_total ideal in
   let ideal_tps = rate total_trials ideal.Fpva_sim.Campaign.wall_seconds in
-  (* Sharded stream across a jobs sweep: rows must be bit-identical for
-     every jobs value; throughput should scale with available cores. *)
+  (* A jobs sweep: rows must be bit-identical for every jobs value;
+     throughput should scale with available cores. *)
   let row_eq (a : Fpva_sim.Campaign.row) (b : Fpva_sim.Campaign.row) =
     a.Fpva_sim.Campaign.fault_count = b.Fpva_sim.Campaign.fault_count
     && a.Fpva_sim.Campaign.trials = b.Fpva_sim.Campaign.trials
@@ -514,9 +563,6 @@ let campaign_bench ~trials () =
   let kernel_total =
     kernel_trials * List.length config.Fpva_sim.Campaign.fault_counts
   in
-  let kernel_run kernel =
-    Fpva_sim.Campaign.run ~config:kernel_config ~kernel ~jobs:1 fpva ~vectors
-  in
   (* The two kernels are timed back to back inside each round and the
      speedup is the best per-round ratio: a load spike on a shared
      runner then slows both sides of a ratio instead of whichever
@@ -526,8 +572,11 @@ let campaign_bench ~trials () =
   let scalar_best = ref infinity and batched_best = ref infinity in
   let speedup_best = ref 0.0 in
   for _ = 1 to 5 do
-    let s = kernel_run Fpva_sim.Campaign.Scalar in
-    let b = kernel_run Fpva_sim.Campaign.Batched in
+    let s =
+      scalar_campaign_run ~detects:(compiled_detects fpva) kernel_config fpva
+        ~vectors
+    in
+    let b = Campaign.run ~config:kernel_config ~jobs:1 fpva ~vectors in
     scalar_best := Float.min !scalar_best s.Fpva_sim.Campaign.wall_seconds;
     batched_best := Float.min !batched_best b.Fpva_sim.Campaign.wall_seconds;
     speedup_best :=
@@ -557,7 +606,11 @@ let campaign_bench ~trials () =
   let noisy = Fpva_sim.Campaign.run_noisy ~config:noise_config fpva ~vectors in
   let noisy_tps = rate total_trials noisy.Fpva_sim.Campaign.n_wall_seconds in
   (* Reference (pre-refactor) path. *)
-  let legacy_detected, legacy_wall = legacy_campaign_run config fpva ~vectors in
+  let legacy =
+    scalar_campaign_run ~detects:(spec_detects fpva) config fpva ~vectors
+  in
+  let legacy_detected = detected_total legacy in
+  let legacy_wall = legacy.Campaign.wall_seconds in
   let legacy_tps = rate total_trials legacy_wall in
   let speedup = ideal_tps /. Float.max legacy_tps 1e-9 in
   let agreement = ideal_detected = legacy_detected in
@@ -593,7 +646,7 @@ let campaign_bench ~trials () =
     batched_rows_identical;
   if not batched_rows_identical then
     Printf.printf "ERROR: the kernels disagree on campaign rows\n";
-  (* Parallel scaling of the sharded stream. *)
+  (* Parallel scaling across jobs values. *)
   List.iter
     (fun (jobs, _, tps) ->
       Printf.printf

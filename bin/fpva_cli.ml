@@ -353,23 +353,6 @@ let resolve_jobs jobs =
   else if jobs = 0 then Fpva_util.Pool.default_jobs ()
   else jobs
 
-let kernel_t =
-  let doc =
-    "Fault-simulation kernel for the ideal campaign: $(b,batched) \
-     (default) packs up to 63 trials into the bits of one machine word \
-     and scores them in one masked sweep per vector; $(b,scalar) runs \
-     one trial per simulation (the reference kernel).  Rows are \
-     bit-identical either way."
-  in
-  Arg.(
-    value
-    & opt
-        (enum
-           [ ("batched", Fpva_sim.Campaign.Batched);
-             ("scalar", Fpva_sim.Campaign.Scalar) ])
-        Fpva_sim.Campaign.Batched
-    & info [ "kernel" ] ~docv:"KERNEL" ~doc)
-
 (* ---------- checkpoint/resume ---------- *)
 
 let checkpoint_t =
@@ -424,8 +407,7 @@ let finish_checkpoint = function
 
 let campaign_cmd =
   let run name rows cols direct block no_leak trials seed max_faults classes
-      noise repeats jobs kernel time_limit checkpoint resume strict trace
-      metrics =
+      noise repeats jobs time_limit checkpoint resume strict trace metrics =
     guard_internal @@ fun () ->
     let fpva = resolve_layout ~file:None name rows cols in
     let config = config_of ~direct ~block ~no_leak () in
@@ -436,6 +418,14 @@ let campaign_cmd =
         prerr_endline ("error: " ^ msg);
         exit 2
     in
+    if trials < 1 then begin
+      prerr_endline "error: --trials must be >= 1";
+      exit 2
+    end;
+    if max_faults < 1 then begin
+      prerr_endline "error: --max-faults must be >= 1";
+      exit 2
+    end;
     if noise < 0.0 || noise > 1.0 then begin
       prerr_endline "error: --noise must be in [0,1]";
       exit 2
@@ -492,8 +482,8 @@ let campaign_cmd =
                      ~vectors:result.Pipeline.vectors)
             in
             let r =
-              Fpva_sim.Campaign.run ~config:campaign_config ~jobs ~kernel
-                ~budget ?checkpoint:ck fpva ~vectors:result.Pipeline.vectors
+              Fpva_sim.Campaign.run ~config:campaign_config ~jobs ~budget
+                ?checkpoint:ck fpva ~vectors:result.Pipeline.vectors
             in
             Format.printf "%a@?" Fpva_sim.Campaign.pp_result r;
             finish_checkpoint ck;
@@ -506,8 +496,8 @@ let campaign_cmd =
     Term.(
       const run $ layout_t $ rows_t $ cols_t $ direct_t $ block_t $ no_leak_t
       $ trials_t $ seed_t $ max_faults_t $ classes_t $ noise_t $ repeats_t
-      $ jobs_t $ kernel_t $ time_limit_t $ checkpoint_t $ resume_t $ strict_t
-      $ trace_t $ metrics_t)
+      $ jobs_t $ time_limit_t $ checkpoint_t $ resume_t $ strict_t $ trace_t
+      $ metrics_t)
   in
   Cmd.v
     (Cmd.info "campaign"

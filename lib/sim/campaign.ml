@@ -1,11 +1,9 @@
 module Rng = Fpva_util.Rng
-module Pool = Fpva_util.Pool
 module Timer = Fpva_util.Timer
 module Trace = Fpva_util.Trace
-module Budget = Fpva_testgen.Budget
+module Shards = Checkpoint.Shards
 
 let trials_c = Trace.counter "campaign.trials"
-let batched_trials_c = Trace.counter "campaign.batched_trials"
 let noisy_trials_c = Trace.counter "campaign.noisy_trials"
 let tps_g = Trace.gauge "campaign.trials_per_sec"
 let noisy_tps_g = Trace.gauge "campaign.noisy_trials_per_sec"
@@ -21,10 +19,6 @@ type config = {
 let default_config =
   { trials = 10_000; fault_counts = [ 1; 2; 3; 4; 5 ]; seed = 42;
     classes = [ `Stuck_at_0; `Stuck_at_1 ] }
-
-type stream = Sharded | Legacy
-
-type kernel = Batched | Scalar
 
 type row = {
   fault_count : int;
@@ -64,37 +58,12 @@ let draw_faults rng fpva ~classes ~count =
     draw [] count (100 * count)
   end
 
-let check_jobs fn jobs stream =
-  if jobs < 1 then
-    invalid_arg (Printf.sprintf "Campaign.%s: jobs must be >= 1" fn);
-  match stream with
-  | Legacy when jobs > 1 ->
-    (* The legacy stream threads one RNG through every trial in order;
-       there is no way to shard it without changing the draws. *)
-    invalid_arg
-      (Printf.sprintf "Campaign.%s: the legacy stream is sequential (jobs = 1)"
-         fn)
-  | Legacy | Sharded -> ()
-
-let check_checkpoint fn checkpoint stream =
-  match (checkpoint, stream) with
-  | Some _, Legacy ->
-    (* Skipping a journaled trial would shift every later draw of the
-       sequential RNG — the resumed rows could never match a cold run. *)
-    invalid_arg
-      (Printf.sprintf
-         "Campaign.%s: checkpointing requires the sharded stream" fn)
-  | _ -> ()
-
-(* First 1-based index of a detecting vector, scanning with the worker's
-   own compiled handle. *)
-let first_detect_index h vectors ~faults =
-  let rec scan i = function
-    | [] -> None
-    | v :: rest ->
-      if Simulator.detects_h h ~faults v then Some i else scan (i + 1) rest
-  in
-  scan 1 vectors
+let check fn ~jobs (config : config) =
+  let fail what = invalid_arg (Printf.sprintf "Campaign.%s: %s" fn what) in
+  if jobs < 1 then fail "jobs must be >= 1";
+  if config.trials < 0 then fail "trials must be >= 0";
+  if List.exists (fun c -> c < 0) config.fault_counts then
+    fail "fault counts must be >= 0"
 
 (* One ideal-observation trial.  [Short] accounting is orthogonal to the
    scoring outcome, so it rides alongside. *)
@@ -103,31 +72,22 @@ type trial_outcome =
   | Escaped of Fault.t list
   | Void
 
-let run_trial h vectors ~classes ~fault_count rng =
-  let fpva = Simulator.handle_fpva h in
-  let faults = draw_faults rng fpva ~classes ~count:fault_count in
-  (* The rejection sampler can come up short (or empty) when the layout
-     cannot host [fault_count] disjoint faults.  Record the shortfall
-     instead of scoring phantom faults: an empty draw is neither a
-     detection nor an escape, and the reported rates say how many trials
-     were affected. *)
-  let short = List.length faults < fault_count in
-  if faults = [] then (short, Void)
-  else
-    match first_detect_index h vectors ~faults with
-    | Some i -> (short, Detected i)
-    | None -> (short, Escaped faults)
-
 let rec lowest_lane_from i m =
   if m land 1 = 1 then i else lowest_lane_from (i + 1) (m lsr 1)
 
-(* One bit-parallel batch: trial [glo + i] rides lane [i].  Lane loading
-   draws from the same per-trial stream as the scalar path
-   ([Rng.derive seed (glo + i)]), and the vector scan records the same
-   1-based first-detect index, so [outs.(i)] is bit-identical to
-   [run_trial] on trial [glo + i] — the whole-suite escape scan just
-   costs one CSR sweep per vector for all surviving lanes instead of one
-   per (trial, vector). *)
+(* One bit-parallel batch, scored into [outs.(0 .. width - 1)]: trial
+   [glo + i] rides lane [i] and draws from its own stream
+   [Rng.derive seed (glo + i)].  The vector scan records the 1-based
+   index of the first vector that detects each lane, so a lane's outcome
+   is exactly that of a plain per-trial scan — the whole-suite escape
+   scan just costs one CSR sweep per vector for all surviving lanes
+   instead of one per (trial, vector).
+
+   The rejection sampler can come up short (or empty) when the layout
+   cannot host [fault_count] disjoint faults.  The shortfall is recorded
+   instead of scoring phantom faults: an empty draw is neither a
+   detection nor an escape, and the reported rates say how many trials
+   were affected. *)
 let run_batch bh outs vectors ~classes ~seed ~fault_count ~glo ~width =
   Simulator.batch_reset bh;
   let fpva = Simulator.batch_fpva bh in
@@ -162,46 +122,46 @@ let run_batch bh outs vectors ~classes ~seed ~fault_count ~glo ~width =
     vectors
 
 (* Fold one row's trial outcomes, in trial order. *)
-let row_of_outcomes ~fault_count ~trials outcome_at =
+let row_of_outcomes ~fault_count outcomes =
   let detected = ref 0 in
   let escapes = ref [] in
   let latency_sum = ref 0 in
   let short_draws = ref 0 in
   let void_draws = ref 0 in
-  for i = 0 to trials - 1 do
-    let short, outcome = outcome_at i in
-    if short then incr short_draws;
-    match outcome with
-    | Void -> incr void_draws
-    | Detected ix ->
-      incr detected;
-      latency_sum := !latency_sum + ix
-    | Escaped faults -> escapes := faults :: !escapes
-  done;
+  Array.iter
+    (fun (short, outcome) ->
+      if short then incr short_draws;
+      match outcome with
+      | Void -> incr void_draws
+      | Detected ix ->
+        incr detected;
+        latency_sum := !latency_sum + ix
+      | Escaped faults -> escapes := faults :: !escapes)
+    outcomes;
   let mean_latency =
     if !detected = 0 then nan
     else float_of_int !latency_sum /. float_of_int !detected
   in
-  { fault_count; trials; detected = !detected;
+  { fault_count; trials = Array.length outcomes; detected = !detected;
     escapes = List.rev !escapes; short_draws = !short_draws;
     void_draws = !void_draws; mean_latency }
 
-(* Split the per-fault-count rows into the completed prefix and the
-   truncated tail: a row is dropped as soon as any of its trials was
-   skipped for budget exhaustion (a partially-scored row would not be
-   bit-identical to the same row of an unbudgeted run), and every later
-   row is dropped with it so the surviving rows are always a prefix of
-   the full run's rows. *)
-let rows_and_truncated counts ~row_complete ~row_of =
-  let rec build idx =
-    if idx >= List.length counts then ([], [])
-    else if not (row_complete idx) then
-      ([], List.filteri (fun i _ -> i >= idx) counts)
-    else
-      let rows, truncated = build (idx + 1) in
-      (row_of idx :: rows, truncated)
+(* Split a grid's rows, keyed in run order, into the completed prefix and
+   the truncated tail: a row the budget cut short (a partially-scored row
+   would not be bit-identical to the same row of an unbudgeted run) is
+   dropped whole, and every later row with it, so the surviving rows are
+   always a prefix of the full run's rows. *)
+let rows_and_truncated keys grid ~row_of =
+  let rec build r = function
+    | [] -> ([], [])
+    | key :: rest as tail -> (
+      match grid.(r) with
+      | None -> ([], tail)
+      | Some outcomes ->
+        let rows, truncated = build (r + 1) rest in
+        (row_of key outcomes :: rows, truncated))
   in
-  build 0
+  build 0 keys
 
 (* ---------- checkpoint plumbing ---------- *)
 
@@ -216,9 +176,9 @@ let classes_tag classes =
        classes)
 
 (* The key pins everything the rows depend on — canonical layout, suite
-   text, trial counts, seed, classes — and deliberately NOT [jobs]: the
-   sharded stream makes rows jobs-invariant, so a run may be resumed
-   with a different worker count. *)
+   text, trial counts, seed, classes — and deliberately NOT [jobs]: rows
+   are jobs-invariant, so a run may be resumed with a different worker
+   count. *)
 let checkpoint_key (config : config) fpva ~vectors =
   let b = Buffer.create 256 in
   Printf.bprintf b
@@ -285,18 +245,17 @@ let dec_trial src =
    most the in-flight shards (recomputed on resume); smaller shards mean
    finer resume but more journal records and fsync batches.  Must be a
    multiple of [Simulator.batch_width] so a bit-parallel batch never
-   straddles a shard boundary (skip/store decide whole batches).  Old
-   journals written at the previous size (256) self-reject: each payload
-   frames its own (lo, count) range, so a mismatched record is dropped
-   and recomputed rather than replayed into the wrong slice. *)
+   straddles a shard boundary.  Old journals written at the previous size
+   (256) self-reject: each payload frames its own (lo, count) range, so a
+   mismatched record is dropped and recomputed rather than replayed into
+   the wrong slice. *)
 let shard_trials = 4 * Simulator.batch_width (* 252 *)
 
-module Shards = Checkpoint.Shards
+let journal ~enc ~dec store = { Shards.store; shard = shard_trials; enc; dec }
 
-let run ?(config = default_config) ?(jobs = 1) ?(stream = Sharded)
-    ?(kernel = Batched) ?(budget = Budget.unlimited) ?checkpoint fpva ~vectors =
-  check_jobs "run" jobs stream;
-  check_checkpoint "run" checkpoint stream;
+let run ?(config = default_config) ?(jobs = 1) ?budget ?checkpoint fpva
+    ~vectors =
+  check "run" ~jobs config;
   let t0 = Timer.now () in
   (* Force the layout's compiled form (and valve tables) before any domain
      spawns: workers only ever read the caches.  One compiled handle per
@@ -304,194 +263,48 @@ let run ?(config = default_config) ?(jobs = 1) ?(stream = Sharded)
      application was the dominating cost of the paper's 10 000-trial
      experiment. *)
   ignore (Simulator.make fpva);
+  let counts = Array.of_list config.fault_counts in
+  let trials = config.trials in
+  (* Trial [i] of row [r] is item [g = r * trials + i] and draws from
+     [Rng.derive seed g]: the injected fault set is a pure function of
+     (seed, g), so the rows are bit-identical for every [jobs] value.  The
+     batch — up to [batch_width] consecutive trials of one row packed into
+     the bits of an [int] — is the unit of simulation, scheduling and
+     budget checks; affected rows are dropped whole. *)
+  let grid =
+    Shards.run ?budget
+      ?checkpoint:
+        (Option.map (journal ~enc:enc_trial ~dec:dec_trial) checkpoint)
+      ~jobs ~rows:(Array.length counts) ~trials ~unit:Simulator.batch_width
+      ~empty:(false, Void)
+      ~init:(fun () ->
+        ( Simulator.make_batch fpva,
+          Array.make Simulator.batch_width (false, Void) ))
+      ~body:(fun (bh, outs) ~lo ~width ->
+        run_batch bh outs vectors ~classes:config.classes ~seed:config.seed
+          ~fault_count:counts.(lo / trials) ~glo:lo ~width;
+        outs)
+      ()
+  in
   let rows, truncated =
-    match stream with
-    | Legacy ->
-      let rng = Rng.create config.seed in
-      let h = Simulator.make fpva in
-      let rec per_count acc = function
-        | [] -> (List.rev acc, [])
-        | fault_count :: rest ->
-          (* Explicit loop: the shared legacy RNG must be consumed in
-             trial order. *)
-          let outcomes = Array.make config.trials (false, Void) in
-          let complete = ref true in
-          (try
-             for i = 0 to config.trials - 1 do
-               if Budget.exhausted budget then begin
-                 complete := false;
-                 raise Exit
-               end;
-               outcomes.(i) <-
-                 run_trial h vectors ~classes:config.classes ~fault_count rng
-             done
-           with Exit -> ());
-          if !complete then
-            per_count
-              (row_of_outcomes ~fault_count ~trials:config.trials
-                 (Array.get outcomes)
-              :: acc)
-              rest
-          else (List.rev acc, fault_count :: rest)
-      in
-      per_count [] config.fault_counts
-    | Sharded ->
-      let counts = Array.of_list config.fault_counts in
-      let trials = config.trials in
-      let n = Array.length counts * trials in
-      (* Trial [i] of row [r] draws from stream [r * trials + i] of the
-         campaign seed: the injected fault set is a pure function of
-         (seed, global trial index), so the rows are bit-identical for
-         every [jobs] value.  Workers stop scoring new trials once the
-         budget is exhausted ([None] outcomes); affected rows are dropped
-         whole by [rows_and_truncated]. *)
-      let get =
-        match kernel with
-        | Scalar -> (
-          match checkpoint with
-          | None ->
-            let outcomes =
-              Pool.run ~jobs ~n
-                ~init:(fun () -> Simulator.make fpva)
-                ~body:(fun h g ->
-                  if Budget.exhausted budget then None
-                  else
-                    Some
-                      (run_trial h vectors ~classes:config.classes
-                         ~fault_count:counts.(g / trials)
-                         (Rng.derive config.seed g)))
-                ()
-            in
-            Array.get outcomes
-          | Some ck ->
-            (* Same per-trial streams, plus shard bookkeeping: journaled
-               shards are prefilled and skipped (even under an exhausted
-               budget — replaying them costs nothing), completed shards
-               are journaled by their last worker. *)
-            let sh =
-              Shards.make ck ~rows:(Array.length counts) ~trials
-                ~size:shard_trials ~enc:enc_trial ~dec:dec_trial
-            in
-            ignore
-              (Pool.run ~jobs ~n
-                 ~init:(fun () -> Simulator.make fpva)
-                 ~body:(fun h g ->
-                   if Shards.skip sh g then ()
-                   else if Budget.exhausted budget then ()
-                   else
-                     Shards.store sh g
-                       (run_trial h vectors ~classes:config.classes
-                          ~fault_count:counts.(g / trials)
-                          (Rng.derive config.seed g)))
-                 ());
-            Checkpoint.flush ck;
-            Shards.get sh)
-        | Batched ->
-          (* The batch, not the trial, is the unit of both simulation and
-             scheduling: one pool item packs up to [batch_width]
-             consecutive trials of one row into the bits of an [int] and
-             scores them in a single masked CSR sweep per vector.  Each
-             trial still draws from [Rng.derive seed g], so the rows are
-             bit-identical to the scalar kernel (and jobs-invariant);
-             batches never straddle a row, and [shard_trials] is a
-             multiple of the width so they never straddle a shard.  The
-             budget is checked once per batch — surviving rows remain a
-             prefix because rows are dropped whole either way. *)
-          let bw = Simulator.batch_width in
-          let nb = (trials + bw - 1) / bw in
-          let n_batches = Array.length counts * nb in
-          let batch_geom bi =
-            let row = bi / nb and k = bi mod nb in
-            let lo_in_row = k * bw in
-            ( (row * trials) + lo_in_row,
-              min bw (trials - lo_in_row),
-              counts.(row) )
-          in
-          let init () =
-            (Simulator.make_batch fpva, Array.make bw (false, Void))
-          in
-          (match checkpoint with
-          | None ->
-            let outcomes = Array.make n (false, Void) in
-            (* Workers write disjoint [glo, glo+width) slices; the pool
-               join publishes them to the caller. *)
-            let scored =
-              Pool.run ~jobs ~n:n_batches ~init
-                ~body:(fun (bh, outs) bi ->
-                  if Budget.exhausted budget then false
-                  else begin
-                    let glo, width, fault_count = batch_geom bi in
-                    run_batch bh outs vectors ~classes:config.classes
-                      ~seed:config.seed ~fault_count ~glo ~width;
-                    Array.blit outs 0 outcomes glo width;
-                    Trace.add batched_trials_c width;
-                    true
-                  end)
-                ()
-            in
-            fun g ->
-              let row = g / trials and i = g mod trials in
-              if scored.((row * nb) + (i / bw)) then Some outcomes.(g)
-              else None
-          | Some ck ->
-            (* [~align:bw] makes Shards reject any size that could let a
-               batch straddle a shard, so skip-on-first-index decides the
-               whole batch. *)
-            let sh =
-              Shards.make ~align:bw ck ~rows:(Array.length counts) ~trials
-                ~size:shard_trials ~enc:enc_trial ~dec:dec_trial
-            in
-            ignore
-              (Pool.run ~jobs ~n:n_batches ~init
-                 ~body:(fun (bh, outs) bi ->
-                   let glo, width, fault_count = batch_geom bi in
-                   if Shards.skip sh glo then ()
-                   else if Budget.exhausted budget then ()
-                   else begin
-                     run_batch bh outs vectors ~classes:config.classes
-                       ~seed:config.seed ~fault_count ~glo ~width;
-                     for i = 0 to width - 1 do
-                       Shards.store sh (glo + i) outs.(i)
-                     done;
-                     Trace.add batched_trials_c width
-                   end)
-                 ());
-            Checkpoint.flush ck;
-            Shards.get sh)
-      in
-      let row_complete fc_idx =
-        let ok = ref true in
-        for i = fc_idx * trials to ((fc_idx + 1) * trials) - 1 do
-          if get i = None then ok := false
-        done;
-        !ok
-      in
-      rows_and_truncated config.fault_counts ~row_complete ~row_of:(fun fc_idx ->
-          row_of_outcomes ~fault_count:counts.(fc_idx) ~trials (fun i ->
-              Option.get (get ((fc_idx * trials) + i))))
+    rows_and_truncated config.fault_counts grid.Shards.rows
+      ~row_of:(fun fault_count -> row_of_outcomes ~fault_count)
   in
   let wall = Timer.elapsed t0 in
   if Trace.is_enabled () then begin
-    let total = config.trials * List.length config.fault_counts in
-    Trace.add trials_c total;
-    if wall > 0.0 then Trace.set_gauge tps_g (float_of_int total /. wall);
-    (if stream = Sharded && kernel = Batched then
-       (* Mean lane occupancy: 1.0 when every batch is full-width, lower
-          when the trial count leaves a ragged final batch per row. *)
-       let bw = Simulator.batch_width in
-       let nb = (config.trials + bw - 1) / bw in
-       let lanes = nb * bw * List.length config.fault_counts in
-       if lanes > 0 then
-         Trace.set_gauge batch_occ_g (float_of_int total /. float_of_int lanes));
+    let scored = grid.Shards.scored in
+    Trace.add trials_c scored;
+    if scored > 0 && wall > 0.0 then
+      Trace.set_gauge tps_g (float_of_int scored /. wall);
+    (* Mean lane occupancy of the scored batches: 1.0 when every batch is
+       full-width, lower when the trial count leaves a ragged final batch
+       per row. *)
+    if grid.Shards.scored_units > 0 then
+      Trace.set_gauge batch_occ_g
+        (float_of_int scored
+        /. float_of_int (grid.Shards.scored_units * Simulator.batch_width));
     Trace.emit_span "campaign.run" ~dur:wall
-      ~tags:
-        [ ("trials", string_of_int total);
-          ("jobs", string_of_int jobs);
-          ("stream", match stream with Sharded -> "sharded" | Legacy -> "legacy");
-          ( "kernel",
-            match (stream, kernel) with
-            | Legacy, _ | _, Scalar -> "scalar"
-            | Sharded, Batched -> "batched" ) ]
+      ~tags:[ ("trials", string_of_int scored); ("jobs", string_of_int jobs) ]
   end;
   { rows; truncated; wall_seconds = wall }
 
@@ -657,32 +470,31 @@ let run_noisy_trial policy meter h vectors ~classes ~fault_count fault_rng
     (short, N_run { nd; alarm; slots = s1 + s2; reads = r1 + r2 })
   end
 
-let noise_row_of_outcomes ~noise ~fault_count ~trials outcome_at =
+let noise_row_of_outcomes ~noise ~fault_count outcomes =
   let detected = ref 0 and false_alarms = ref 0 in
   let short_draws = ref 0 and void_draws = ref 0 in
   let total_reads = ref 0 and vector_slots = ref 0 in
-  for i = 0 to trials - 1 do
-    let short, outcome = outcome_at i in
-    if short then incr short_draws;
-    match outcome with
-    | N_void -> incr void_draws
-    | N_run { nd; alarm; slots; reads } ->
-      if nd then incr detected;
-      if alarm then incr false_alarms;
-      vector_slots := !vector_slots + slots;
-      total_reads := !total_reads + reads
-  done;
-  { noise; n_fault_count = fault_count; n_trials = trials;
+  Array.iter
+    (fun (short, outcome) ->
+      if short then incr short_draws;
+      match outcome with
+      | N_void -> incr void_draws
+      | N_run { nd; alarm; slots; reads } ->
+        if nd then incr detected;
+        if alarm then incr false_alarms;
+        vector_slots := !vector_slots + slots;
+        total_reads := !total_reads + reads)
+    outcomes;
+  { noise; n_fault_count = fault_count; n_trials = Array.length outcomes;
     n_detected = !detected; false_alarms = !false_alarms;
     n_short_draws = !short_draws; n_void_draws = !void_draws;
     total_reads = !total_reads; vector_slots = !vector_slots }
 
-let run_noisy ?(config = default_noise_config) ?(jobs = 1)
-    ?(stream = Sharded) ?(budget = Budget.unlimited) ?checkpoint fpva ~vectors =
-  check_jobs "run_noisy" jobs stream;
-  check_checkpoint "run_noisy" checkpoint stream;
-  let t0 = Timer.now () in
+let run_noisy ?(config = default_noise_config) ?(jobs = 1) ?budget
+    ?checkpoint fpva ~vectors =
   let base = config.base in
+  check "run_noisy" ~jobs base;
+  let t0 = Timer.now () in
   let policy = Retest.policy config.repeats in
   (* Validate every level (and warm the caches) before any worker starts. *)
   let meters_of () =
@@ -695,135 +507,50 @@ let run_noisy ?(config = default_noise_config) ?(jobs = 1)
   ignore (meters_of ());
   ignore (Simulator.make fpva);
   (* Row keys in run order: the outer sweep is by noise level, inner by
-     fault count. *)
+     fault count, so item [g = (level * counts + fc) * trials + i]. *)
   let row_keys =
     List.concat_map
       (fun noise -> List.map (fun fc -> (noise, fc)) base.fault_counts)
       config.noise_levels
   in
-  let rows, truncated =
-    match stream with
-    | Legacy ->
-      let h = Simulator.make fpva in
-      let exception Wall in
-      let rows = ref [] in
-      (try
-         List.iter
-           (fun noise ->
-             let meter =
-               Measurement.uniform fpva ~false_pass:noise ~false_fail:noise
-             in
-             (* The fault stream reuses the plain campaign's seed and draw
-                order, so every noise level (and [run] itself) scores the same
-                injected fault sets; meter noise comes from an independent
-                derived stream so that noise 0 + repeats 1 is bit-identical to
-                the ideal campaign. *)
-             let rng = Rng.create base.seed in
-             let meter_rng = Rng.create (base.seed lxor meter_salt) in
-             List.iter
-               (fun fault_count ->
-                 let outcomes = Array.make base.trials (false, N_void) in
-                 (try
-                    for i = 0 to base.trials - 1 do
-                      if Budget.exhausted budget then raise Exit;
-                      outcomes.(i) <-
-                        run_noisy_trial policy meter h vectors
-                          ~classes:base.classes ~fault_count rng meter_rng
-                    done
-                  with Exit -> raise Wall);
-                 rows :=
-                   noise_row_of_outcomes ~noise ~fault_count
-                     ~trials:base.trials (Array.get outcomes)
-                   :: !rows)
-               base.fault_counts)
-           config.noise_levels
-       with Wall -> ());
-      let rows = List.rev !rows in
-      (* The truncated tail: everything after the completed prefix. *)
-      (rows, List.filteri (fun i _ -> i >= List.length rows) row_keys)
-    | Sharded ->
-      let levels = Array.of_list config.noise_levels in
-      let counts = Array.of_list base.fault_counts in
-      let trials = base.trials in
-      let per_level = Array.length counts * trials in
-      let n = Array.length levels * per_level in
-      (* Fault draws are keyed by the (fault count, trial) pair alone —
-         [rem] below — so every noise level (and the ideal [run]) scores
-         identical injected fault sets; meter noise is keyed by the same
-         pair under a salted seed, giving an independent stream that is
-         also shared across levels (common random numbers). *)
-      let noisy_trial (h, meters) g =
-        let level_idx = g / per_level in
+  let counts = Array.of_list base.fault_counts in
+  let trials = base.trials in
+  let per_level = Array.length counts * trials in
+  (* Fault draws are keyed by the (fault count, trial) pair alone — [rem]
+     below — so every noise level (and the ideal [run]) scores identical
+     injected fault sets; meter noise is keyed by the same pair under a
+     salted seed, giving an independent stream that is also shared across
+     levels (common random numbers).  Meter noise is per read, so lanes
+     would diverge: the unit is one trial. *)
+  let grid =
+    Shards.run ?budget
+      ?checkpoint:
+        (Option.map (journal ~enc:enc_noisy_trial ~dec:dec_noisy_trial)
+           checkpoint)
+      ~jobs ~rows:(List.length row_keys) ~trials ~unit:1 ~empty:(false, N_void)
+      ~init:(fun () -> (Simulator.make fpva, meters_of ()))
+      ~body:(fun (h, meters) ~lo:g ~width:_ ->
         let rem = g mod per_level in
-        run_noisy_trial policy meters.(level_idx) h vectors
-          ~classes:base.classes
-          ~fault_count:counts.(rem / trials)
-          (Rng.derive base.seed rem)
-          (Rng.derive (base.seed lxor meter_salt) rem)
-      in
-      let get =
-        match checkpoint with
-        | None ->
-          let outcomes =
-            Pool.run ~jobs ~n
-              ~init:(fun () -> (Simulator.make fpva, meters_of ()))
-              ~body:(fun w g ->
-                if Budget.exhausted budget then None else Some (noisy_trial w g))
-              ()
-          in
-          Array.get outcomes
-        | Some ck ->
-          (* Global index g = (level * counts + fc) * trials + i, i.e.
-             row-major over the run-order row keys — exactly the
-             geometry Shards expects. *)
-          let sh =
-            Shards.make ck ~rows:(List.length row_keys) ~trials
-              ~size:shard_trials ~enc:enc_noisy_trial ~dec:dec_noisy_trial
-          in
-          ignore
-            (Pool.run ~jobs ~n
-               ~init:(fun () -> (Simulator.make fpva, meters_of ()))
-               ~body:(fun w g ->
-                 if Shards.skip sh g then ()
-                 else if Budget.exhausted budget then ()
-                 else Shards.store sh g (noisy_trial w g))
-               ());
-          Checkpoint.flush ck;
-          Shards.get sh
-      in
-      let base_of row_idx =
-        let level_idx = row_idx / Array.length counts in
-        let fc_idx = row_idx mod Array.length counts in
-        (level_idx * per_level) + (fc_idx * trials)
-      in
-      let row_complete row_idx =
-        let b = base_of row_idx in
-        let ok = ref true in
-        for i = b to b + trials - 1 do
-          if get i = None then ok := false
-        done;
-        !ok
-      in
-      rows_and_truncated row_keys ~row_complete ~row_of:(fun row_idx ->
-          let noise, fault_count = List.nth row_keys row_idx in
-          let b = base_of row_idx in
-          noise_row_of_outcomes ~noise ~fault_count ~trials (fun i ->
-              Option.get (get (b + i))))
+        [| run_noisy_trial policy meters.(g / per_level) h vectors
+             ~classes:base.classes
+             ~fault_count:counts.(rem / trials)
+             (Rng.derive base.seed rem)
+             (Rng.derive (base.seed lxor meter_salt) rem) |])
+      ()
+  in
+  let rows, truncated =
+    rows_and_truncated row_keys grid.Shards.rows
+      ~row_of:(fun (noise, fault_count) ->
+        noise_row_of_outcomes ~noise ~fault_count)
   in
   let wall = Timer.elapsed t0 in
   if Trace.is_enabled () then begin
-    let total =
-      base.trials * List.length base.fault_counts
-      * List.length config.noise_levels
-    in
-    Trace.add noisy_trials_c total;
-    if wall > 0.0 then
-      Trace.set_gauge noisy_tps_g (float_of_int total /. wall);
+    let scored = grid.Shards.scored in
+    Trace.add noisy_trials_c scored;
+    if scored > 0 && wall > 0.0 then
+      Trace.set_gauge noisy_tps_g (float_of_int scored /. wall);
     Trace.emit_span "campaign.run_noisy" ~dur:wall
-      ~tags:
-        [ ("trials", string_of_int total);
-          ("jobs", string_of_int jobs);
-          ("stream", match stream with Sharded -> "sharded" | Legacy -> "legacy") ]
+      ~tags:[ ("trials", string_of_int scored); ("jobs", string_of_int jobs) ]
   end;
   { noise_rows = rows; n_truncated = truncated; repeats = config.repeats;
     n_wall_seconds = wall }

@@ -9,18 +9,16 @@
     vector suite on the faulty chip, record whether any vector's observation
     differs from golden.
 
-    {2 Sharded RNG and parallel execution}
+    {2 Per-trial RNG streams and parallel execution}
 
-    On the default {!Sharded} stream the fault set injected by trial [i] of
-    a row is a pure function of [(seed, global trial index)] — each trial
-    owns the counter-based stream [Fpva_util.Rng.derive seed index].  That
-    makes the trials embarrassingly parallel {e without} changing their
-    results: [run ~jobs:k] shards trials across [k] domains (each worker
-    holding its own compiled simulator handle, whose scratch buffers must
-    never be shared) and returns rows {e bit-identical} for every [k],
-    [jobs:1] included.  The pre-sharding sequential stream — one RNG
-    threaded through all trials in order — survives behind [~stream:Legacy]
-    for pinned regression rows; it cannot be sharded. *)
+    The fault set injected by trial [i] of a row is a pure function of
+    [(seed, global trial index)] — each trial owns the counter-based
+    stream [Fpva_util.Rng.derive seed index].  That makes the trials
+    embarrassingly parallel {e without} changing their results: both
+    engines are one call of {!Checkpoint.Shards.run}, which spreads the
+    trials across [jobs] domains (each worker holding its own simulator
+    handle, whose scratch buffers must never be shared) and returns rows
+    {e bit-identical} for every [jobs] value, [1] included. *)
 
 type config = {
   trials : int;  (** repetitions per fault count (paper: 10 000) *)
@@ -46,29 +44,6 @@ val draw_faults :
     (fewer than [count]) or empty when the layout cannot host the request.
     Exposed for workloads that build their own per-chip fault populations
     ({!Lifetime}). *)
-
-type stream =
-  | Sharded
-      (** default: per-trial counter-based RNG streams; identical results
-          for every [jobs] value *)
-  | Legacy
-      (** the pre-sharding draw order (one sequential RNG across all
-          trials); only valid with [jobs = 1] *)
-
-type kernel =
-  | Batched
-      (** default: bit-parallel fault simulation — up to
-          {!Simulator.batch_width} consecutive trials of a row are packed
-          into the bits of one [int] and scored with a single masked CSR
-          sweep per vector.  Rows are bit-identical to {!Scalar} (each
-          lane still draws from [Rng.derive seed g]); only the wall clock
-          changes.  Applies to the {!Sharded} stream; the {!Legacy}
-          stream is inherently scalar. *)
-  | Scalar
-      (** one trial per simulation — the reference kernel the batched one
-          is differentially tested against, and the only kernel for
-          {!run_noisy} (meter noise is per-read, so lanes would
-          diverge) *)
 
 type row = {
   fault_count : int;  (** faults {e requested} per trial *)
@@ -104,22 +79,20 @@ type result = {
 val run :
   ?config:config ->
   ?jobs:int ->
-  ?stream:stream ->
-  ?kernel:kernel ->
   ?budget:Fpva_testgen.Budget.t ->
   ?checkpoint:Checkpoint.t ->
   Fpva_grid.Fpva.t ->
   vectors:Fpva_testgen.Test_vector.t list ->
   result
 (** [jobs] (default 1) is the number of domains trials are sharded across;
-    rows are bit-identical for every [jobs] value on the {!Sharded} stream.
+    rows are bit-identical for every [jobs] value.
 
-    [kernel] (default {!Batched}) selects the simulation kernel on the
-    sharded stream; the batch — up to {!Simulator.batch_width} trials —
-    is then also the unit of scheduling (one pool item and one
-    budget check per batch instead of per trial).  Rows are bit-identical
-    across kernels, and batches are aligned so they never straddle a row
-    or a checkpoint shard.  [kernel] is ignored by the {!Legacy} stream.
+    Trials are simulated bit-parallel: up to {!Simulator.batch_width}
+    consecutive trials of a row are packed into the bits of one [int] and
+    scored with a single masked CSR sweep per vector, and each lane's
+    outcome equals a plain per-trial scan of its own draw.  The batch is
+    also the unit of scheduling (one pool item and one budget check per
+    batch), and batches never straddle a row or a checkpoint shard.
 
     [budget] (default {!Fpva_testgen.Budget.unlimited}) caps wall clock:
     once it is exhausted no further trial is scored, the row being
@@ -129,7 +102,7 @@ val run :
     bit-identical to — the rows of an unbudgeted run with the same
     config, so budgeted partial results never disagree with full ones.
 
-    [checkpoint] (sharded stream only) makes the campaign resumable:
+    [checkpoint] makes the campaign resumable:
     completed shards of trials are journaled through the given
     {!Checkpoint} store as they finish, shards already in the store are
     replayed instead of recomputed (even under an exhausted budget), and
@@ -139,9 +112,12 @@ val run :
     {!checkpoint_key} so layout/config/suite drift is refused up front.
     A checkpoint write failure mid-run disables checkpointing (see
     {!Checkpoint.failure}) and the campaign completes normally.
-    @raise Invalid_argument if [jobs < 1], if [stream = Legacy] and
-    [jobs > 1], or if [stream = Legacy] with a checkpoint (the
-    sequential RNG cannot skip trials without changing draws). *)
+
+    With tracing on, [campaign.trials], [campaign.trials_per_sec] and
+    [campaign.batch_occupancy] count only the trials a worker scored in
+    this call: neither budget-skipped nor journal-replayed ones.
+    @raise Invalid_argument if [jobs < 1], [config.trials < 0] or a fault
+    count is negative (a count of 0 voids every trial of its row). *)
 
 val checkpoint_key : config -> Fpva_grid.Fpva.t ->
   vectors:Fpva_testgen.Test_vector.t list -> string
@@ -212,24 +188,24 @@ type noise_result = {
 val run_noisy :
   ?config:noise_config ->
   ?jobs:int ->
-  ?stream:stream ->
   ?budget:Fpva_testgen.Budget.t ->
   ?checkpoint:Checkpoint.t ->
   Fpva_grid.Fpva.t ->
   vectors:Fpva_testgen.Test_vector.t list ->
   noise_result
-(** Fault draws are keyed exactly as in {!run} (by [(base.seed, fault
-    count x trial)] on the sharded stream; {!run}'s legacy draw order under
-    [~stream:Legacy]), so every noise level — and the ideal campaign —
+(** Fault draws are keyed exactly as in {!run}, by [(base.seed, fault
+    count x trial)], so every noise level — and the ideal campaign —
     scores identical injected fault sets; meter noise draws from an
     independent stream derived from [base.seed lxor 0x5f3759df].  With
-    noise 0 and repeats 1 the detected counts equal {!run}'s bit-for-bit
-    (same [stream]), and equal seeds reproduce rows byte-for-byte for
-    every [jobs] value.
+    noise 0 and repeats 1 the detected counts equal {!run}'s bit-for-bit,
+    and equal seeds reproduce rows byte-for-byte for every [jobs] value.
+    Meter noise is per read, so lanes would diverge: trials are scored
+    one at a time, each its own unit of scheduling and budget checks.
+    [budget] and [checkpoint] behave exactly as in {!run} (key the store
+    with {!noisy_checkpoint_key}); the traced [campaign.noisy_trials] and
+    [campaign.noisy_trials_per_sec] likewise count scored trials only.
     @raise Invalid_argument if [repeats < 1], a level is outside [0,1],
-    [jobs < 1], or [stream = Legacy] with [jobs > 1] (or with a
-    checkpoint).  [checkpoint] behaves exactly as in {!run}; key the
-    store with {!noisy_checkpoint_key}. *)
+    [jobs < 1], [base.trials < 0] or a fault count is negative. *)
 
 val noisy_checkpoint_key : noise_config -> Fpva_grid.Fpva.t ->
   vectors:Fpva_testgen.Test_vector.t list -> string

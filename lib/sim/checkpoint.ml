@@ -1,4 +1,5 @@
 module Journal = Fpva_util.Journal
+module Pool = Fpva_util.Pool
 module Trace = Fpva_util.Trace
 
 let recorded_c = Trace.counter "checkpoint.shards_recorded"
@@ -186,31 +187,30 @@ type store = t
 module Shards = struct
   module Enc = Journal.Enc
   module Dec = Journal.Dec
+  module Budget = Fpva_testgen.Budget
 
-  type 'a t = {
-    ck : store;
-    trials : int;
-    size : int;
-    spr : int;  (* shards per row *)
-    outcomes : 'a option array;
-    remaining : int Atomic.t array;
-    done_ : bool array;  (* prefilled from the journal, before workers *)
+  type 'a journal = {
+    store : store;
+    shard : int;
     enc : Buffer.t -> 'a -> unit;
+    dec : Dec.src -> 'a;
   }
 
-  let range t s =
-    let row = s / t.spr and c = s mod t.spr in
-    let lo = (row * t.trials) + (c * t.size) in
-    let hi = (row * t.trials) + min ((c + 1) * t.size) t.trials in
-    (lo, hi)
+  type 'a grid = {
+    rows : 'a array option array;
+    scored : int;
+    scored_units : int;
+  }
 
   (* The payload frames its own range so a record can never be replayed
      into a different slice of the run. *)
-  let encode_payload enc ~lo data =
+  let encode_payload enc items ~lo ~count =
     let buf = Buffer.create 64 in
     Enc.u32 buf lo;
-    Enc.u32 buf (Array.length data);
-    Array.iter (enc buf) data;
+    Enc.u32 buf count;
+    for g = lo to lo + count - 1 do
+      enc buf items.(g)
+    done;
     Buffer.contents buf
 
   let decode_payload dec ~lo ~count payload =
@@ -226,59 +226,85 @@ module Shards = struct
     | v -> v
     | exception Dec.Malformed _ -> None
 
-  let make ?(align = 1) ck ~rows ~trials ~size ~enc ~dec =
-    if size < 1 then invalid_arg "Checkpoint.Shards.make: size must be >= 1";
-    if align < 1 then
-      invalid_arg "Checkpoint.Shards.make: align must be >= 1";
-    (* Shards are carved at multiples of [size] from each row's origin, so
-       [size mod align = 0] guarantees an [align]-wide block starting at a
-       multiple of [align] never straddles a shard — the engine's batches
-       must be decidable (skip/store) as a unit. *)
-    if size mod align <> 0 then
-      invalid_arg "Checkpoint.Shards.make: size must be a multiple of align";
-    let spr = (trials + size - 1) / size in
+  (* Journal bookkeeping for one run.  Shards are carved at multiples of
+     [j.shard] from each row's origin, [spr] per row, each holding [spu]
+     consecutive units (fewer at a row's end).  Journaled shards are
+     replayed into [items] here, before any worker starts; the returned
+     [scored u] counts unit [u] down and journals its shard once the last
+     unit lands. *)
+  let attach j ~rows ~trials ~unit ~upr items =
+    let spr = (trials + j.shard - 1) / j.shard in
+    let spu = j.shard / unit in
+    let range s =
+      let lo = s mod spr * j.shard in
+      ((s / spr * trials) + lo, min (lo + j.shard) trials - lo)
+    in
+    let shard_of u = (u / upr * spr) + (u mod upr / spu) in
     let nshards = rows * spr in
-    let t =
-      {
-        ck;
-        trials;
-        size;
-        spr;
-        outcomes = Array.make (rows * trials) None;
-        remaining = Array.init nshards (fun _ -> Atomic.make 0);
-        done_ = Array.make nshards false;
-        enc;
-      }
+    let replayed = Array.make nshards false in
+    let remaining =
+      Array.init nshards (fun s ->
+          Atomic.make (min spu (upr - (s mod spr * spu))))
     in
     for s = 0 to nshards - 1 do
-      let lo, hi = range t s in
-      Atomic.set t.remaining.(s) (hi - lo);
-      match
-        consume ck s ~decode:(fun p -> decode_payload dec ~lo ~count:(hi - lo) p)
-      with
+      let lo, count = range s in
+      match consume j.store s ~decode:(decode_payload j.dec ~lo ~count) with
       | Some arr ->
-        Array.iteri (fun i v -> t.outcomes.(lo + i) <- Some v) arr;
-        t.done_.(s) <- true
+        Array.blit arr 0 items lo count;
+        replayed.(s) <- true
       | None -> ()
     done;
-    t
+    let scored u =
+      let s = shard_of u in
+      if Atomic.fetch_and_add remaining.(s) (-1) = 1 then begin
+        let lo, count = range s in
+        record j.store s (encode_payload j.enc items ~lo ~count)
+      end
+    in
+    ((fun u -> replayed.(shard_of u)), scored)
 
-  let shard_of t g =
-    let row = g / t.trials and i = g mod t.trials in
-    (row * t.spr) + (i / t.size)
-
-  let skip t g = t.done_.(shard_of t g)
-
-  let store t g v =
-    t.outcomes.(g) <- Some v;
-    let s = shard_of t g in
-    if Atomic.fetch_and_add t.remaining.(s) (-1) = 1 then begin
-      let lo, hi = range t s in
-      let data =
-        Array.init (hi - lo) (fun i -> Option.get t.outcomes.(lo + i))
+  let run ?(budget = Budget.unlimited) ?checkpoint ~jobs ~rows ~trials ~unit
+      ~empty ~init ~body () =
+    if rows < 0 || trials < 0 then
+      invalid_arg "Checkpoint.Shards.run: negative grid";
+    if unit < 1 then invalid_arg "Checkpoint.Shards.run: unit must be >= 1";
+    (match checkpoint with
+    | Some j when j.shard < 1 || j.shard mod unit <> 0 ->
+      invalid_arg
+        "Checkpoint.Shards.run: shard must be a positive multiple of unit"
+    | _ -> ());
+    (* Unit [u] is the [u mod upr]-th run of [unit] items of row
+       [u / upr]; only a row's last unit can be narrower. *)
+    let upr = (trials + unit - 1) / unit in
+    let items = Array.make (rows * trials) empty in
+    let replayed, scored =
+      match checkpoint with
+      | None -> ((fun _ -> false), ignore)
+      | Some j -> attach j ~rows ~trials ~unit ~upr items
+    in
+    let widths =
+      Pool.run ~jobs ~n:(rows * upr) ~init ~body:(fun w u ->
+          if replayed u || Budget.exhausted budget then 0
+          else begin
+            let lo = (u / upr * trials) + (u mod upr * unit) in
+            let width = min unit (trials - (u mod upr * unit)) in
+            Array.blit (body w ~lo ~width) 0 items lo width;
+            scored u;
+            width
+          end)
+    in
+    Option.iter (fun j -> flush j.store) checkpoint;
+    let row r =
+      let rec complete k =
+        k = upr
+        ||
+        let u = (r * upr) + k in
+        (widths.(u) > 0 || replayed u) && complete (k + 1)
       in
-      record t.ck s (encode_payload t.enc ~lo data)
-    end
-
-  let get t g = t.outcomes.(g)
+      if complete 0 then Some (Array.sub items (r * trials) trials) else None
+    in
+    { rows = Array.init rows row;
+      scored = Array.fold_left ( + ) 0 widths;
+      scored_units =
+        Array.fold_left (fun n w -> if w > 0 then n + 1 else n) 0 widths }
 end

@@ -5,11 +5,11 @@
     layout render, campaign config, seed, suite text; see
     {!Campaign.checkpoint_key}) — followed by one record per completed
     {e shard} (a contiguous range of trial indices, encoded by the
-    engine).  Because the sharded RNG makes every trial a pure function
-    of [(seed, index)], replaying a journaled shard is byte-identical to
-    recomputing it, so a resumed run produces rows bit-identical to a
-    cold one — at any [jobs] value, which is deliberately {e not} part of
-    the key.
+    engine).  Because every trial is a pure function of [(seed, index)]
+    (it draws from its own counter-based RNG stream), replaying a
+    journaled shard is byte-identical to recomputing it, so a resumed run
+    produces rows bit-identical to a cold one — at any [jobs] value,
+    which is deliberately {e not} part of the key.
 
     The store degrades instead of failing: a journal write error
     ([ENOSPC], a full disk, a yanked volume) disables further
@@ -96,52 +96,67 @@ val key_digest : string -> string
 
 type store = t
 
-(** Shard bookkeeping for an engine running [rows * trials] independent
-    work items, indexed [g = row * trials + i].  Items are grouped into
-    shards of [size] consecutive indices that never straddle a row;
-    workers {!Shards.store} each result, and whichever worker finishes a
-    shard's last item serialises and journals it.  Journaled shards are
-    prefilled at {!Shards.make} (via {!consume}) and reported by
-    {!Shards.skip} so the engine never recomputes them.
+(** The one grid loop behind every resumable engine ({!Campaign.run},
+    {!Campaign.run_noisy}, {!Diagnosis.build}): a grid of [rows * trials]
+    independent work items, indexed [g = row * trials + i], scored
+    through {!Fpva_util.Pool.run} in {e units} of up to [unit]
+    consecutive items of one row (only a row's last unit is narrower).
+    Every item must be a pure function of its index, so the grid is
+    identical for every [jobs] value.
 
-    Memory-model note: the plain [store] writes of a shard's items are
-    published to the journaling worker by the seq-cst fetch-and-add on
-    the shard's countdown (message-passing idiom), and to the caller's
-    domain by the pool join. *)
+    With a checkpoint, items are also grouped into journal {e shards} of
+    [shard] consecutive items (never straddling a row); a shard's record
+    is written by whichever worker finishes its last unit, and journaled
+    shards are replayed before any worker starts, so their units are
+    never rescored.  Without one, results stay in memory: no payload is
+    encoded and no shard is counted down.
+
+    Memory-model note: the plain writes of a unit's items are published
+    to the journaling worker by the seq-cst fetch-and-add on the shard's
+    countdown (message-passing idiom), and to the caller's domain by the
+    pool join. *)
 module Shards : sig
-  type 'a t
-
-  val make :
-    ?align:int ->
-    store ->
-    rows:int ->
-    trials:int ->
-    size:int ->
-    enc:(Buffer.t -> 'a -> unit) ->
-    dec:(Fpva_util.Journal.Dec.src -> 'a) ->
-    'a t
-  (** [enc]/[dec] serialise one item; [dec] may raise
-      {!Fpva_util.Journal.Dec.Malformed}.  Each payload additionally
+  type 'a journal = {
+    store : store;
+    shard : int;  (** items per journal record; a multiple of [unit] *)
+    enc : Buffer.t -> 'a -> unit;
+    dec : Fpva_util.Journal.Dec.src -> 'a;
+        (** may raise {!Fpva_util.Journal.Dec.Malformed} *)
+  }
+  (** How one engine journals its items.  Each payload additionally
       records its own [(lo, count)] range, so a record can never be
       replayed into a different slice of the run (e.g. after a shard-size
-      change) — a mismatch drops the record for recomputation.
+      change) — a mismatch drops the record for recomputation. *)
 
-      [align] (default 1) declares the engine's batch width: [size] must
-      be a multiple of it, which guarantees an [align]-wide block of
-      indices starting at a multiple of [align] within a row lies inside
-      exactly one shard — {!skip} on the block's first index then decides
-      the whole block.
-      @raise Invalid_argument if [size < 1], [align < 1], or [size] is
-      not a multiple of [align]. *)
+  type 'a grid = {
+    rows : 'a array option array;
+        (** row [r]'s items in index order; [None] when any of them was
+            skipped because the budget ran out *)
+    scored : int;  (** items a worker scored in this call *)
+    scored_units : int;  (** units a worker scored in this call *)
+  }
 
-  val skip : 'a t -> int -> bool
-  (** The shard holding item [g] was replayed from the journal. *)
-
-  val store : 'a t -> int -> 'a -> unit
-  (** Record item [g]'s result; journals the shard when it completes.
-      Call at most once per [g], never for skipped shards. *)
-
-  val get : 'a t -> int -> 'a option
-  (** Item [g]'s result ([None] iff it was neither stored nor replayed —
-      i.e. skipped for budget exhaustion). *)
+  val run :
+    ?budget:Fpva_testgen.Budget.t ->
+    ?checkpoint:'a journal ->
+    jobs:int ->
+    rows:int ->
+    trials:int ->
+    unit:int ->
+    empty:'a ->
+    init:(unit -> 'w) ->
+    body:('w -> lo:int -> width:int -> 'a array) ->
+    unit ->
+    'a grid
+  (** [body w ~lo ~width] scores items [lo .. lo + width - 1] with the
+      worker state [w] (built once per worker by [init]) and returns an
+      array whose first [width] elements are their results; [run] copies
+      them out, so [body] may reuse one buffer per worker.  [empty]
+      fills the slots of items not scored yet; it never appears in a
+      complete row.  Once [budget] (default unlimited) is exhausted no
+      further unit is scored, but replayed units still count; the journal
+      is flushed before returning.
+      @raise Invalid_argument if [jobs < 1], [rows] or [trials] is
+      negative, [unit < 1], or [shard] is not a positive multiple of
+      [unit]. *)
 end

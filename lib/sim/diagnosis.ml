@@ -77,34 +77,22 @@ let build ?(jobs = 1) ?checkpoint fpva ~vectors ~faults =
       let vecs = Array.of_list vectors in
       let fa = Array.of_list faults in
       let n = Array.length fa in
-      let syndromes =
-        match checkpoint with
-        | None ->
-          Fpva_util.Pool.run ~jobs ~n
-            ~init:(fun () -> Simulator.make fpva)
-            ~body:(fun h i -> syndrome_of_h h ~vectors ~faults:[ fa.(i) ])
-            ()
-        | Some ck ->
-          (* One row of [n] candidates, sharded exactly like campaign
-             trials: each candidate's syndrome is a pure function of the
-             (layout, suite, fault), so replayed shards are bit-identical
-             to recomputed ones. *)
-          let sh =
-            Checkpoint.Shards.make ck ~rows:1 ~trials:n ~size:shard_candidates
-              ~enc:enc_syndrome ~dec:dec_syndrome
-          in
-          ignore
-            (Fpva_util.Pool.run ~jobs ~n
-               ~init:(fun () -> Simulator.make fpva)
-               ~body:(fun h i ->
-                 if Checkpoint.Shards.skip sh i then ()
-                 else
-                   Checkpoint.Shards.store sh i
-                     (syndrome_of_h h ~vectors ~faults:[ fa.(i) ]))
-               ());
-          Checkpoint.flush ck;
-          Array.init n (fun i -> Option.get (Checkpoint.Shards.get sh i))
+      (* One row of [n] candidates, one per unit: each candidate's
+         syndrome is a pure function of the (layout, suite, fault), so
+         replayed shards are bit-identical to recomputed ones. *)
+      let journal store =
+        { Checkpoint.Shards.store; shard = shard_candidates;
+          enc = enc_syndrome; dec = dec_syndrome }
       in
+      let grid =
+        Checkpoint.Shards.run ?checkpoint:(Option.map journal checkpoint)
+          ~jobs ~rows:1 ~trials:n ~unit:1 ~empty:[||]
+          ~init:(fun () -> Simulator.make fpva)
+          ~body:(fun h ~lo ~width:_ ->
+            [| syndrome_of_h h ~vectors ~faults:[ fa.(lo) ] |])
+          ()
+      in
+      let syndromes = Option.get grid.Checkpoint.Shards.rows.(0) in
       let bits = Bytes.make (Array.length vecs * n) '\000' in
       let index = Hashtbl.create 64 in
       let class_of =

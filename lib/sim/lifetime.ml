@@ -160,7 +160,7 @@ let run ?(jobs = 1) ?(config = default_config) fpva ~vectors =
       let chips =
         Pool.run ~jobs ~n:config.chips
           ~init:(fun () -> Simulator.make fpva)
-          ~body ()
+          ~body
         |> Array.to_list
       in
       let epochs_run c = Array.length c.reads_per_epoch in

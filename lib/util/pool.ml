@@ -30,21 +30,18 @@ let () =
 
 let items_c = Trace.counter "pool.items"
 
-let sequential ~n ~init ~teardown ~body =
+let sequential ~n ~init ~body =
   let t0 = if Trace.is_enabled () then Timer.now () else 0.0 in
   let w = init () in
   let out =
-    Fun.protect
-      ~finally:(fun () -> match teardown with Some f -> f w | None -> ())
-      (fun () ->
-        if n = 0 then [||]
-        else begin
-          let out = Array.make n (body w 0) in
-          for i = 1 to n - 1 do
-            out.(i) <- body w i
-          done;
-          out
-        end)
+    if n = 0 then [||]
+    else begin
+      let out = Array.make n (body w 0) in
+      for i = 1 to n - 1 do
+        out.(i) <- body w i
+      done;
+      out
+    end
   in
   if Trace.is_enabled () then begin
     Trace.add items_c n;
@@ -53,17 +50,16 @@ let sequential ~n ~init ~teardown ~body =
   end;
   out
 
-let run ?(min_per_worker = 4) ~jobs ~n ~init ?teardown ~body () =
+(* A domain spawn costs more than a handful of items: never give a worker
+   fewer than this many, and with too few items for even a second worker
+   run the whole range sequentially in the caller. *)
+let min_per_worker = 4
+
+let run ~jobs ~n ~init ~body =
   if jobs < 1 then invalid_arg "Pool.run: jobs must be >= 1";
-  if min_per_worker < 1 then
-    invalid_arg "Pool.run: min_per_worker must be >= 1";
   if n < 0 then invalid_arg "Pool.run: negative item count";
-  (* A domain spawn costs more than a handful of items: never give a
-     worker fewer than [min_per_worker], and with too few items for even
-     a second worker run the whole range sequentially in the caller. *)
   let workers = min (min jobs n) (max 1 (n / min_per_worker)) in
-  if jobs = 1 || workers <= 1 || n <= 1 then
-    sequential ~n ~init ~teardown ~body
+  if jobs = 1 || workers <= 1 || n <= 1 then sequential ~n ~init ~body
   else begin
     (* Several chunks per worker so a slow chunk does not straggle the
        whole run, but chunks big enough that the counter is cold. *)
@@ -75,31 +71,23 @@ let run ?(min_per_worker = 4) ~jobs ~n ~init ?teardown ~body () =
     let work wid =
       let t0 = if Trace.is_enabled () then Timer.now () else 0.0 in
       let claimed = ref 0 in
-      (match init () with
-      | exception e -> failures.(wid) <- Some e
-      | w ->
-        (try
-           let rec loop () =
-             let c = Atomic.fetch_and_add next 1 in
-             if c < num_chunks then begin
-               let lo = c * chunk in
-               let hi = min n (lo + chunk) in
-               for i = lo to hi - 1 do
-                 (* Disjoint indices: no two workers ever write one slot. *)
-                 results.(i) <- Some (body w i)
-               done;
-               claimed := !claimed + (hi - lo);
-               loop ()
-             end
-           in
-           loop ()
-         with e -> failures.(wid) <- Some e);
-        (match teardown with
-        | Some f -> (
-          try f w
-          with e ->
-            if Option.is_none failures.(wid) then failures.(wid) <- Some e)
-        | None -> ()));
+      (try
+         let w = init () in
+         let rec loop () =
+           let c = Atomic.fetch_and_add next 1 in
+           if c < num_chunks then begin
+             let lo = c * chunk in
+             let hi = min n (lo + chunk) in
+             for i = lo to hi - 1 do
+               (* Disjoint indices: no two workers ever write one slot. *)
+               results.(i) <- Some (body w i)
+             done;
+             claimed := !claimed + (hi - lo);
+             loop ()
+           end
+         in
+         loop ()
+       with e -> failures.(wid) <- Some e);
       if Trace.is_enabled () then
         Trace.emit_span "pool.worker" ~dur:(Timer.elapsed t0)
           ~tags:

@@ -1,12 +1,11 @@
 (** Fixed Domain worker pool over a chunked index range.
 
-    [run ~jobs ~n ~init ~body ()] evaluates [body worker_state i] for every
+    [run ~jobs ~n ~init ~body] evaluates [body worker_state i] for every
     [i] in [0, n) across [jobs] domains (the calling domain included) and
     returns the results indexed by [i].  Each worker builds its own state
-    with [init] once, before processing any item, and releases it with
-    [teardown] when the range is drained — this is where callers allocate
-    resources that must never be shared between domains (simulator handles
-    with mutable scratch, per-level meter models, …).
+    with [init] once, before processing any item — this is where callers
+    allocate resources that must never be shared between domains
+    (simulator handles with mutable scratch, per-level meter models, …).
 
     Determinism contract: the pool guarantees result [i] sits at index [i],
     nothing more.  If [body]'s value for [i] is a pure function of [i] (use
@@ -26,23 +25,14 @@ exception Multi_failure of exn * (int * string) list
     renders all of them. *)
 
 val run :
-  ?min_per_worker:int ->
-  jobs:int ->
-  n:int ->
-  init:(unit -> 'w) ->
-  ?teardown:('w -> unit) ->
-  body:('w -> int -> 'a) ->
-  unit ->
-  'a array
+  jobs:int -> n:int -> init:(unit -> 'w) -> body:('w -> int -> 'a) -> 'a array
 (** With [jobs = 1] (or [n <= 1]) everything runs in the calling domain and
-    no domain is spawned.  [min_per_worker] (default 4) is the spawn
-    threshold: the pool never starts a worker that would average fewer
-    items than that, so a tiny range — e.g. [jobs = 8] over [n = 3] —
-    runs sequentially in the caller instead of paying domain spawns that
-    cost more than the work (results are identical either way).  If any
-    [init], [body] or [teardown] raises, the remaining workers finish
+    no domain is spawned.  The pool never starts a worker that would
+    average fewer than 4 items, so a tiny range — e.g. [jobs = 8] over
+    [n = 3] — runs sequentially in the caller instead of paying domain
+    spawns that cost more than the work (results are identical either
+    way).  If any [init] or [body] raises, the remaining workers finish
     their current chunk and every worker is joined; then a {e single}
     failure is re-raised as-is, while multiple failures raise
     {!Multi_failure} aggregating all of them.
-    @raise Invalid_argument if [jobs < 1], [n < 0] or
-    [min_per_worker < 1]. *)
+    @raise Invalid_argument if [jobs < 1] or [n < 0]. *)

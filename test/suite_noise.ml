@@ -437,36 +437,12 @@ let reproducibility_tests =
         check Alcotest.string "identical renderings" (render a) (render b);
         checkb "identical rows" true
           (a.Campaign.noise_rows = b.Campaign.noise_rows));
-    case "pinned noisy row, legacy stream (seed 7, 5x5, noise 0.05)"
-      (fun () ->
-        (* Regression pin: any change to the legacy fault stream, the meter
-           stream, or the retest policy shows up here.  Update the literal
-           deliberately, never casually. *)
-        let t = sample_layout () in
-        let r = Pipeline.run_exn t in
-        let config =
-          { Campaign.base =
-              { Campaign.trials = 50; fault_counts = [ 1 ]; seed = 7;
-                classes = [ `Stuck_at_0; `Stuck_at_1 ] };
-            noise_levels = [ 0.05 ];
-            repeats = 3 }
-        in
-        let res =
-          Campaign.run_noisy ~config ~stream:Campaign.Legacy t
-            ~vectors:r.Pipeline.vectors
-        in
-        match res.Campaign.noise_rows with
-        | [ row ] ->
-          check Alcotest.string "pinned row"
-            "noise=0.050 faults=1 detected=50/50 (1.0000), false alarms \
-             17/50 (0.3400), mean reads/vector 2.17"
-            (Format.asprintf "%a" Campaign.pp_noise_row row)
-        | _ -> Alcotest.fail "expected exactly one row");
     case "pinned noisy row, sharded stream (seed 7, 5x5, noise 0.05)"
       (fun () ->
-        (* Same configuration on the default counter-based stream; the
-           contract makes this literal independent of the jobs value, so it
-           is checked at jobs 1 and 4. *)
+        (* Regression pin: any change to the fault stream, the meter
+           stream, or the retest policy shows up here.  The contract makes
+           this literal independent of the jobs value, so it is checked at
+           jobs 1 and 4.  Update the literal deliberately, never casually. *)
         let t = sample_layout () in
         let r = Pipeline.run_exn t in
         let config =

@@ -1,6 +1,6 @@
-(* The parallel campaign engine: sharded-RNG determinism across jobs
-   values, legacy-stream preservation, and the Pool-backed dictionary
-   build. *)
+(* The parallel campaign engine: per-trial RNG determinism across jobs
+   values, the bit-parallel batches against a plain per-trial oracle, and
+   the Pool-backed dictionary build. *)
 
 open Helpers
 open Fpva_grid
@@ -12,12 +12,6 @@ open Fpva_sim
 let five =
   lazy
     (let t = Layouts.paper_array 5 in
-     let r = Pipeline.run_exn t in
-     (t, r.Pipeline.vectors))
-
-let eight =
-  lazy
-    (let t = Layouts.paper_array 8 in
      let r = Pipeline.run_exn t in
      (t, r.Pipeline.vectors))
 
@@ -83,58 +77,65 @@ let jobs_parity_tests =
           (Campaign.run ~config ~jobs t ~vectors).Campaign.rows
         in
         checkb "jobs 8 = jobs 1" true (rows_eq (rows 1) (rows 8)));
+    case "pinned ideal rows (seed 7, 5x5, sa0/sa1/leak)" (fun () ->
+        (* Regression pin on the rendered rows: any change to the fault
+           stream, the batch scoring or the row fold shows up here.  Fault
+           count 0 voids every trial; 100 trials leave a ragged second
+           batch per row.  Update the literal deliberately, never
+           casually. *)
+        let t, vectors = Lazy.force five in
+        let config =
+          { Campaign.trials = 100; fault_counts = [ 0; 1; 2; 3 ]; seed = 7;
+            classes = [ `Stuck_at_0; `Stuck_at_1; `Control_leak ] }
+        in
+        List.iter
+          (fun jobs ->
+            let r = Campaign.run ~config ~jobs t ~vectors in
+            check Alcotest.string
+              (Printf.sprintf "pinned rows at jobs=%d" jobs)
+              "faults=0 detected=0/0 (0.0000), mean first-detect vector -\n\
+               faults=1 detected=99/100 (0.9900), mean first-detect vector \
+               5.3\n\
+               faults=2 detected=100/100 (1.0000), mean first-detect vector \
+               2.6\n\
+               faults=3 detected=100/100 (1.0000), mean first-detect vector \
+               2.0\n\
+               wall=0.0s\n"
+              (Format.asprintf "%a" Campaign.pp_result
+                 { r with Campaign.wall_seconds = 0.0 }))
+          [ 1; 4 ]);
   ]
 
-let stream_tests =
+let validation_tests =
   [
-    slow_case
-      "sharded and legacy streams agree on aggregate detection (8x8)"
-      (fun () ->
-        (* The two streams draw different fault sets per trial, so rows
-           differ — but over the default 8x8 campaign both sample the same
-           fault distribution and the suite detects essentially everything:
-           aggregate detection rates must sit within a point. *)
-        let t, vectors = Lazy.force eight in
-        let config =
-          { Campaign.default_config with
-            Campaign.trials = 200;
-            fault_counts = [ 1; 2; 3 ] }
-        in
-        let aggregate stream =
-          let r = Campaign.run ~config ~stream ~jobs:1 t ~vectors in
-          let det, eff =
-            List.fold_left
-              (fun (d, e) row ->
-                (d + row.Campaign.detected, e + Campaign.effective_trials row))
-              (0, 0) r.Campaign.rows
-          in
-          Fpva_util.Stats.ratio det eff
-        in
-        let sharded = aggregate Campaign.Sharded in
-        let legacy = aggregate Campaign.Legacy in
-        checkb
-          (Printf.sprintf "sharded %.4f vs legacy %.4f" sharded legacy)
-          true
-          (Float.abs (sharded -. legacy) <= 0.01));
-    case "legacy stream rejects jobs > 1" (fun () ->
-        let t, vectors = Lazy.force five in
-        Alcotest.check_raises "run"
-          (Invalid_argument
-             "Campaign.run: the legacy stream is sequential (jobs = 1)")
-          (fun () ->
-            ignore
-              (Campaign.run ~jobs:2 ~stream:Campaign.Legacy t ~vectors));
-        Alcotest.check_raises "run_noisy"
-          (Invalid_argument
-             "Campaign.run_noisy: the legacy stream is sequential (jobs = 1)")
-          (fun () ->
-            ignore
-              (Campaign.run_noisy ~jobs:2 ~stream:Campaign.Legacy t ~vectors)));
     case "jobs must be positive" (fun () ->
         let t, vectors = Lazy.force five in
         Alcotest.check_raises "zero"
           (Invalid_argument "Campaign.run: jobs must be >= 1") (fun () ->
             ignore (Campaign.run ~jobs:0 t ~vectors)));
+    case "negative trials or fault counts are rejected" (fun () ->
+        let t, vectors = Lazy.force five in
+        let trials = { Campaign.default_config with Campaign.trials = -1 } in
+        let counts =
+          { Campaign.default_config with Campaign.fault_counts = [ 1; -1 ] }
+        in
+        let noisy base =
+          { Campaign.default_noise_config with Campaign.base }
+        in
+        Alcotest.check_raises "run trials"
+          (Invalid_argument "Campaign.run: trials must be >= 0") (fun () ->
+            ignore (Campaign.run ~config:trials t ~vectors));
+        Alcotest.check_raises "run fault counts"
+          (Invalid_argument "Campaign.run: fault counts must be >= 0")
+          (fun () -> ignore (Campaign.run ~config:counts t ~vectors));
+        Alcotest.check_raises "run_noisy trials"
+          (Invalid_argument "Campaign.run_noisy: trials must be >= 0")
+          (fun () ->
+            ignore (Campaign.run_noisy ~config:(noisy trials) t ~vectors));
+        Alcotest.check_raises "run_noisy fault counts"
+          (Invalid_argument "Campaign.run_noisy: fault counts must be >= 0")
+          (fun () ->
+            ignore (Campaign.run_noisy ~config:(noisy counts) t ~vectors)));
   ]
 
 let diagnosis_tests =
@@ -174,8 +175,7 @@ let pool_failure_tests =
             ignore
               (Pool.run ~jobs:4 ~n:64
                  ~init:(fun () -> ())
-                 ~body:(fun () i -> if i = 0 then failwith "lone" else i)
-                 ())));
+                 ~body:(fun () i -> if i = 0 then failwith "lone" else i))));
     case "concurrent failures aggregate into Multi_failure" (fun () ->
         (* Every worker's [init] raises, so all four fail deterministically
            no matter how chunks are scheduled. *)
@@ -183,7 +183,6 @@ let pool_failure_tests =
           Pool.run ~jobs:4 ~n:64
             ~init:(fun () -> failwith "boom")
             ~body:(fun () i -> i)
-            ()
         with
         | _ -> Alcotest.fail "expected Multi_failure"
         | exception Pool.Multi_failure (first, rest) ->
@@ -285,12 +284,12 @@ let budget_tests =
           = [ (0.0, 1); (0.0, 2); (0.02, 1); (0.02, 2) ]));
   ]
 
-(* The bit-parallel kernel against its scalar reference: rows must be
-   bit-identical for trial counts that exercise every batch shape — a
+(* The bit-parallel batches against the plain per-trial oracle: rows must
+   be bit-identical for trial counts that exercise every batch shape — a
    single width-1 batch, one exactly-full batch, a full batch plus a
    width-1 remainder, and multi-batch rows — at several jobs values, and
    for fault counts including 0 (every lane void). *)
-let kernel_tests =
+let oracle_tests =
   [
     qcheck ~count:5 "batched rows are bit-identical to scalar rows"
       QCheck2.Gen.(int_bound 1_000)
@@ -304,12 +303,11 @@ let kernel_tests =
                 fault_counts = [ 1; 2 ];
                 seed }
             in
-            let rows kernel jobs =
-              (Campaign.run ~config ~kernel ~jobs t ~vectors).Campaign.rows
-            in
-            let reference = rows Campaign.Scalar 1 in
+            let reference = Campaign_oracle.rows t ~vectors config in
             List.for_all
-              (fun jobs -> rows_eq reference (rows Campaign.Batched jobs))
+              (fun jobs ->
+                rows_eq reference
+                  (Campaign.run ~config ~jobs t ~vectors).Campaign.rows)
               [ 1; 2; 4 ])
           [ 1; 40; 63; 64; 127 ]);
     case "fault count 0 voids every lane, identically" (fun () ->
@@ -319,11 +317,9 @@ let kernel_tests =
             Campaign.trials = 70;
             fault_counts = [ 0; 1 ] }
         in
-        let rows kernel =
-          (Campaign.run ~config ~kernel t ~vectors).Campaign.rows
-        in
-        let b = rows Campaign.Batched in
-        checkb "batched = scalar" true (rows_eq (rows Campaign.Scalar) b);
+        let b = (Campaign.run ~config t ~vectors).Campaign.rows in
+        checkb "batched = oracle" true
+          (rows_eq (Campaign_oracle.rows t ~vectors config) b);
         let zero = List.hd b in
         checki "all trials void" 70 zero.Campaign.void_draws;
         checki "nothing detected" 0 zero.Campaign.detected);
@@ -331,11 +327,11 @@ let kernel_tests =
       "a budget exhausted mid-batch still yields a bit-identical prefix"
       QCheck2.Gen.(pair (int_bound 1_000) (int_bound 20))
       (fun (seed, millis) ->
-        (* Same prefix property as the scalar budget tests, but against a
-           *scalar, unbudgeted* reference: whole batches are the unit of
-           budget-skipping, and whole rows the unit of truncation, so the
-           kernels may disagree on *which* rows survive but never on the
-           surviving rows' bits. *)
+        (* Same prefix property as the budget tests above, but against the
+           unbudgeted per-trial oracle: whole batches are the unit of
+           budget-skipping and whole rows the unit of truncation, so the
+           surviving rows' bits never depend on where the budget ran
+           out. *)
         let t, vectors = Lazy.force five in
         let counts = [ 1; 2; 3; 4 ] in
         let config =
@@ -344,19 +340,18 @@ let kernel_tests =
             fault_counts = counts;
             seed }
         in
-        let full = Campaign.run ~config ~kernel:Campaign.Scalar t ~vectors in
+        let full = Campaign_oracle.rows t ~vectors config in
         let part =
           Campaign.run ~config ~jobs:2
             ~budget:(Budget.of_seconds (float_of_int millis /. 1000.0))
             t ~vectors
         in
         let n = List.length part.Campaign.rows in
-        n <= List.length full.Campaign.rows
-        && rows_eq part.Campaign.rows
-             (List.filteri (fun i _ -> i < n) full.Campaign.rows)
+        n <= List.length full
+        && rows_eq part.Campaign.rows (List.filteri (fun i _ -> i < n) full)
         && part.Campaign.truncated = List.filteri (fun i _ -> i >= n) counts);
   ]
 
 let tests =
-  jobs_parity_tests @ stream_tests @ diagnosis_tests @ pool_failure_tests
-  @ budget_tests @ kernel_tests
+  jobs_parity_tests @ validation_tests @ diagnosis_tests @ pool_failure_tests
+  @ budget_tests @ oracle_tests

@@ -788,6 +788,12 @@ let exit_code_tests =
         checki "unknown layout" 2 (run_cli "generate --layout bogus");
         checki "bad class list" 2
           (run_cli "campaign -n 4 --trials 1 --classes nope");
+        checki "negative trials" 2 (run_cli "campaign -n 4 --trials=-1");
+        checki "zero trials" 2 (run_cli "campaign -n 4 --trials 0");
+        checki "negative trials under noise" 2
+          (run_cli "campaign -n 4 --trials=-1 --noise 0.1");
+        checki "negative fault count" 2
+          (run_cli "campaign -n 4 --trials 1 --max-faults=-1");
         checki "bad routing" 2 (run_cli "generate -n 4 --routing warp"));
     case "exit 3 on strict degradation (budget timeout)" (fun () ->
         checki "generate --strict under a zero budget" 3

@@ -26,6 +26,11 @@ let count_of name =
   | Some n -> n
   | None -> Alcotest.failf "counter %s not registered" name
 
+let gauge_of name =
+  match List.assoc_opt name (Trace.gauges ()) with
+  | Some v -> v
+  | None -> Alcotest.failf "gauge %s not registered" name
+
 let names_of events = List.map (fun e -> e.Trace.name) events
 
 (* ---------- counters, gauges, lifecycle ---------- *)
@@ -265,12 +270,10 @@ let coverage_tests =
         checkb "campaign.run span" true (List.mem "campaign.run" names);
         checkb "pool.worker spans" true (List.mem "pool.worker" names);
         checkb "trials counted" true (count_of "campaign.trials" = 80);
-        (* The batched kernel makes the batch the pool's work item: 40
-           trials fit one 63-wide batch, so each row is one item.  Every
-           trial must still be metered exactly once by the per-batch
-           aggregate counter. *)
-        checki "each trial batch-counted once" 80
-          (count_of "campaign.batched_trials");
+        (* The batch is the pool's work item: 40 trials fit one 63-wide
+           batch, so each row is one item with 40 of its 63 lanes used. *)
+        check (Alcotest.float 1e-12) "batch occupancy" (40.0 /. 63.0)
+          (gauge_of "campaign.batch_occupancy");
         let workers =
           List.filter (fun e -> e.Trace.name = "pool.worker") (events ())
         in
@@ -283,6 +286,67 @@ let coverage_tests =
             0 workers
         in
         checki "worker items cover every batch" 2 claimed);
+    case "budget-skipped trials are not counted" (fun () ->
+        let t = Layouts.paper_array 5 in
+        let vectors = (Pipeline.run_exn t).Pipeline.vectors in
+        let base =
+          { Fpva_sim.Campaign.default_config with
+            Fpva_sim.Campaign.trials = 40;
+            fault_counts = [ 1; 2 ] }
+        in
+        let noisy =
+          { Fpva_sim.Campaign.base; noise_levels = [ 0.02 ]; repeats = 2 }
+        in
+        let budget = Budget.of_seconds 0.0 in
+        let r, nr =
+          with_tracing (fun () ->
+              ( Fpva_sim.Campaign.run ~config:base ~budget t ~vectors,
+                Fpva_sim.Campaign.run_noisy ~config:noisy ~budget t ~vectors ))
+        in
+        checkb "every row truncated" true
+          (r.Fpva_sim.Campaign.rows = []
+          && nr.Fpva_sim.Campaign.noise_rows = []);
+        checki "no trials" 0 (count_of "campaign.trials");
+        checki "no noisy trials" 0 (count_of "campaign.noisy_trials");
+        check (Alcotest.float 0.0) "no rate" 0.0
+          (gauge_of "campaign.trials_per_sec");
+        check (Alcotest.float 0.0) "no noisy rate" 0.0
+          (gauge_of "campaign.noisy_trials_per_sec");
+        check (Alcotest.float 0.0) "no occupancy" 0.0
+          (gauge_of "campaign.batch_occupancy"));
+    case "journal-replayed trials are not counted" (fun () ->
+        let module Checkpoint = Fpva_sim.Checkpoint in
+        let t = Layouts.paper_array 5 in
+        let vectors = (Pipeline.run_exn t).Pipeline.vectors in
+        let config =
+          { Fpva_sim.Campaign.default_config with
+            Fpva_sim.Campaign.trials = 300;
+            fault_counts = [ 1; 2 ] }
+        in
+        let key = Fpva_sim.Campaign.checkpoint_key config t ~vectors in
+        let path = Filename.temp_file "fpva-trace" ".ckpt" in
+        let run ~resume =
+          match Checkpoint.open_ ~path ~resume ~key () with
+          | Error e -> Alcotest.fail (Checkpoint.open_error_to_string e)
+          | Ok ck ->
+            Fun.protect
+              ~finally:(fun () -> Checkpoint.close ck)
+              (fun () ->
+                Fpva_sim.Campaign.run ~config ~jobs:2 ~checkpoint:ck t
+                  ~vectors)
+        in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+            let cold = run ~resume:false in
+            let resumed = with_tracing (fun () -> run ~resume:true) in
+            checkb "rows replayed" true
+              (compare cold.Fpva_sim.Campaign.rows
+                 resumed.Fpva_sim.Campaign.rows
+              = 0);
+            checkb "shards replayed" true
+              (count_of "checkpoint.shards_skipped" > 0);
+            checki "no trials" 0 (count_of "campaign.trials")));
     case "diagnosis.build is spanned" (fun () ->
         let t = Layouts.paper_array 4 in
         let suite = Pipeline.run_exn t in

@@ -301,7 +301,6 @@ let pool_tests =
               Pool.run ~jobs ~n:100
                 ~init:(fun () -> ())
                 ~body:(fun () i -> i * i)
-                ()
             in
             check
               (Alcotest.array Alcotest.int)
@@ -310,11 +309,11 @@ let pool_tests =
           [ 1; 2; 4; 7 ]);
     case "more jobs than items" (fun () ->
         let got =
-          Pool.run ~jobs:8 ~n:3 ~init:(fun () -> ()) ~body:(fun () i -> i) ()
+          Pool.run ~jobs:8 ~n:3 ~init:(fun () -> ()) ~body:(fun () i -> i)
         in
         check (Alcotest.array Alcotest.int) "tiny range" [| 0; 1; 2 |] got);
     case "a tiny range spawns no domains" (fun () ->
-        (* With the default min_per_worker threshold, jobs=8 over n=3 must
+        (* Under the 4-items-per-worker spawn threshold, jobs=8 over n=3 must
            run entirely in the caller: exactly one init, and every item
            computed on the calling domain. *)
         let inits = Atomic.make 0 in
@@ -325,7 +324,6 @@ let pool_tests =
             ~body:(fun () i ->
               checkb "runs on the calling domain" true (Domain.self () = caller);
               i * 10)
-            ()
         in
         check (Alcotest.array Alcotest.int) "results" [| 0; 10; 20 |] got;
         checki "exactly one worker state" 1 (Atomic.get inits));
@@ -336,49 +334,39 @@ let pool_tests =
           Pool.run ~jobs:5 ~n:10
             ~init:(fun () -> Atomic.incr inits)
             ~body:(fun () i -> i)
-            ()
         in
-        checkb "at most 2 workers" true (Atomic.get inits <= 2);
-        Alcotest.check_raises "min_per_worker 0"
-          (Invalid_argument "Pool.run: min_per_worker must be >= 1") (fun () ->
-            ignore
-              (Pool.run ~min_per_worker:0 ~jobs:1 ~n:1 ~init:(fun () -> ())
-                 ~body:(fun () i -> i) ())));
+        checkb "at most 2 workers" true (Atomic.get inits <= 2));
     case "empty range" (fun () ->
         let got =
-          Pool.run ~jobs:4 ~n:0 ~init:(fun () -> ()) ~body:(fun () i -> i) ()
+          Pool.run ~jobs:4 ~n:0 ~init:(fun () -> ()) ~body:(fun () i -> i)
         in
         checki "no items" 0 (Array.length got));
-    case "init runs once per worker and teardown releases it" (fun () ->
-        let inits = Atomic.make 0 and teardowns = Atomic.make 0 in
+    case "init runs once per worker" (fun () ->
+        let inits = Atomic.make 0 in
         let _ =
           Pool.run ~jobs:3 ~n:50
             ~init:(fun () -> Atomic.fetch_and_add inits 1)
-            ~teardown:(fun _ -> ignore (Atomic.fetch_and_add teardowns 1))
             ~body:(fun w _ -> w)
-            ()
         in
         let i = Atomic.get inits in
-        checkb "1 <= inits <= jobs" true (i >= 1 && i <= 3);
-        checki "teardown per init" i (Atomic.get teardowns));
+        checkb "1 <= inits <= jobs" true (i >= 1 && i <= 3));
     case "a worker exception propagates" (fun () ->
         Alcotest.check_raises "body failure" (Failure "boom") (fun () ->
             ignore
               (Pool.run ~jobs:4 ~n:64
                  ~init:(fun () -> ())
-                 ~body:(fun () i -> if i = 13 then failwith "boom" else i)
-                 ())));
+                 ~body:(fun () i -> if i = 13 then failwith "boom" else i))));
     case "invalid arguments raise" (fun () ->
         Alcotest.check_raises "jobs 0"
           (Invalid_argument "Pool.run: jobs must be >= 1") (fun () ->
             ignore
               (Pool.run ~jobs:0 ~n:1 ~init:(fun () -> ())
-                 ~body:(fun () i -> i) ()));
+                 ~body:(fun () i -> i)));
         Alcotest.check_raises "negative n"
           (Invalid_argument "Pool.run: negative item count") (fun () ->
             ignore
               (Pool.run ~jobs:1 ~n:(-1) ~init:(fun () -> ())
-                 ~body:(fun () i -> i) ())));
+                 ~body:(fun () i -> i))));
     case "default_jobs is a sane domain count" (fun () ->
         let j = Pool.default_jobs () in
         checkb "1 <= jobs <= 8" true (j >= 1 && j <= 8));
