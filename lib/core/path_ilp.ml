@@ -3,6 +3,13 @@ module Bb = Fpva_milp.Branch_bound
 
 let mem x a = Array.exists (fun y -> y = x) a
 
+(* [f neighbour edge] over node [n]'s arcs, in CSR order. *)
+let map_arcs (p : Problem.t) n f =
+  let lo = p.Problem.adj_off.(n) in
+  List.init
+    (p.Problem.adj_off.(n + 1) - lo)
+    (fun i -> f p.Problem.adj_node.(lo + i) p.Problem.adj_edge.(lo + i))
+
 (* Shared constraint block for one path slot.  [activation] is [None] for the
    single-path model ("the path exists") or [Some p_m] in the joint model
    (the slot may be empty when p_m = 0). *)
@@ -25,7 +32,7 @@ let add_path_block ?(loop_exclusion = true) lp (p : Problem.t) ~tag ~activation 
   (* Degree constraints (eq. 1): interior nodes have exactly two incident
      path edges, terminals exactly one. *)
   for n = 0 to p.Problem.num_nodes - 1 do
-    let incident = List.map (fun (_, e) -> (1.0, v.(e))) p.Problem.adj.(n) in
+    let incident = map_arcs p n (fun _ e -> (1.0, v.(e))) in
     let coeff = if p.Problem.terminal.(n) then -1.0 else -2.0 in
     Lp.add_constr lp
       ~name:(Printf.sprintf "deg%s_%d" tag n)
@@ -59,13 +66,11 @@ let add_path_block ?(loop_exclusion = true) lp (p : Problem.t) ~tag ~activation 
     for n = 0 to p.Problem.num_nodes - 1 do
       if not (mem n p.Problem.starts) then begin
         let terms =
-          List.map
-            (fun (_, e) ->
+          map_arcs p n (fun _ e ->
               let a, _ = p.Problem.edge_ends.(e) in
               (* canonical orientation a->b: inflow at n is +f when n = b *)
               let sign = if a = n then -1.0 else 1.0 in
               (sign, f.(e)))
-            p.Problem.adj.(n)
         in
         Lp.add_constr lp
           ~name:(Printf.sprintf "flow%s_%d" tag n)
@@ -103,12 +108,15 @@ let decode (p : Problem.t) used_edge node_on =
   | Some s ->
     let used = Array.copy used_edge in
     let rec walk nodes edges current =
-      let next =
-        List.find_opt (fun (_, e) -> used.(e)) p.Problem.adj.(current)
+      let rec next k =
+        if k = p.Problem.adj_off.(current + 1) then None
+        else if used.(p.Problem.adj_edge.(k)) then Some k
+        else next (k + 1)
       in
-      match next with
+      match next p.Problem.adj_off.(current) with
       | None -> (List.rev nodes, List.rev edges)
-      | Some (y, e) ->
+      | Some k ->
+        let y = p.Problem.adj_node.(k) and e = p.Problem.adj_edge.(k) in
         used.(e) <- false;
         walk (y :: nodes) (e :: edges) y
     in

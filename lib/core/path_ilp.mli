@@ -19,10 +19,9 @@
 
     Two entry points: {!find} optimises a single path for maximum edge
     weight (used by the incremental covering loop), {!minimum_cover} solves
-    the joint minimum-path-count model.  Both require that {e every}
-    (start, end) combination of the instance be admissible —
-    [Problem.valid_pair] constantly true on [starts x ends]; callers with
-    arc-pair structure (cut-sets) must split the instance per arc pair. *)
+    the joint minimum-path-count model.  Both treat {e every} (start, end)
+    combination of the instance as admissible; callers with arc-pair
+    structure (cut-sets) split the instance per arc pair. *)
 
 val single_path_lp :
   ?loop_exclusion:bool -> Problem.t -> weight:float array -> Fpva_milp.Lp.t

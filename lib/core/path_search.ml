@@ -1,13 +1,19 @@
 module Rng = Fpva_util.Rng
+module Trace = Fpva_util.Trace
 
 type params = { step_budget : int; seed : int }
 
 let default_params = { step_budget = 200_000; seed = 0x5eed }
 
+let calls_counter = Trace.counter "path_search.calls"
+let steps_counter = Trace.counter "path_search.steps"
+let dives_counter = Trace.counter "path_search.dives"
+
 type best = {
   mutable score : float;
   mutable nodes : int list;
   mutable edges : int list;
+  mutable len : int;  (** [List.length nodes] *)
   mutable found : bool;
 }
 
@@ -15,67 +21,97 @@ exception Out_of_budget
 
 exception Abort_dive
 
-(* BFS route with randomised neighbour order, avoiding [blocked] nodes and
-   passing through no terminal except the two endpoints.  Returns the node
-   list from [src] to a goal, or None. *)
-let bfs_route (p : Problem.t) rng ~src ~is_goal ~blocked =
-  let prev = Array.make p.num_nodes (-2) in
-  (* -2 unseen, -1 root *)
-  let via = Array.make p.num_nodes (-1) in
-  let q = Queue.create () in
-  prev.(src) <- -1;
-  Queue.add src q;
-  let goal = ref None in
-  while !goal = None && not (Queue.is_empty q) do
-    let x = Queue.pop q in
-    if is_goal x then goal := Some x
+(* Buffers shared by every BFS of one [find] call. *)
+type bfs = {
+  prev : int array;  (** -2 unseen, -1 root *)
+  via : int array;
+  queue : int array;
+  blocked : bool array;
+  nbr_node : int array;  (** one node's CSR slice, shuffled *)
+  nbr_edge : int array;
+}
+
+let bfs_buffers (p : Problem.t) =
+  let max_degree = ref 0 in
+  for n = 0 to p.num_nodes - 1 do
+    max_degree := max !max_degree (p.adj_off.(n + 1) - p.adj_off.(n))
+  done;
+  { prev = Array.make p.num_nodes (-2);
+    via = Array.make p.num_nodes (-1);
+    queue = Array.make p.num_nodes 0;
+    blocked = Array.make p.num_nodes false;
+    nbr_node = Array.make !max_degree 0;
+    nbr_edge = Array.make !max_degree 0 }
+
+let swap a i j =
+  let tmp = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- tmp
+
+(* BFS route with randomised neighbour order, avoiding [buf.blocked] nodes
+   and passing through no terminal except the two endpoints.  Returns the
+   node list from [src] to a goal, or None. *)
+let bfs_route (p : Problem.t) rng buf ~src ~is_goal =
+  Array.fill buf.prev 0 p.num_nodes (-2);
+  buf.prev.(src) <- -1;
+  buf.queue.(0) <- src;
+  let head = ref 0 and tail = ref 1 and goal = ref (-1) in
+  while !goal < 0 && !head < !tail do
+    let x = buf.queue.(!head) in
+    incr head;
+    if is_goal x then goal := x
     else begin
-      let neighbors = Array.of_list p.adj.(x) in
-      Rng.shuffle_in_place rng neighbors;
-      Array.iter
-        (fun (y, e) ->
-          if prev.(y) = -2 && (not blocked.(y))
-             && ((not p.terminal.(y)) || is_goal y)
-          then begin
-            prev.(y) <- x;
-            via.(y) <- e;
-            Queue.add y q
-          end)
-        neighbors
+      let lo = p.adj_off.(x) in
+      let degree = p.adj_off.(x + 1) - lo in
+      Array.blit p.adj_node lo buf.nbr_node 0 degree;
+      Array.blit p.adj_edge lo buf.nbr_edge 0 degree;
+      (* [Rng.shuffle_in_place]'s draws, applied to both columns *)
+      for i = degree - 1 downto 1 do
+        let j = Rng.int rng (i + 1) in
+        swap buf.nbr_node i j;
+        swap buf.nbr_edge i j
+      done;
+      for i = 0 to degree - 1 do
+        let y = buf.nbr_node.(i) in
+        if buf.prev.(y) = -2 && (not buf.blocked.(y))
+           && ((not p.terminal.(y)) || is_goal y)
+        then begin
+          buf.prev.(y) <- x;
+          buf.via.(y) <- buf.nbr_edge.(i);
+          buf.queue.(!tail) <- y;
+          incr tail
+        end
+      done
     end
   done;
-  match !goal with
-  | None -> None
-  | Some g ->
+  if !goal < 0 then None
+  else begin
     let rec back nodes edges x =
       if x = src then (x :: nodes, edges)
-      else back (x :: nodes) (via.(x) :: edges) prev.(x)
+      else back (x :: nodes) (buf.via.(x) :: edges) buf.prev.(x)
     in
-    Some (back [] [] g)
+    Some (back [] [] !goal)
+  end
 
 (* Constructive path through a specific edge: route start -> one endpoint,
    then the other endpoint -> end avoiding the first half.  Randomised
    retries give diversity; the result is audited by [Problem.path_ok] so all
-   side conditions (terminals, anti-masking, endpoint validity) hold. *)
-let through (p : Problem.t) rng ~edge ~attempts =
+   side conditions (terminals, anti-masking) hold. *)
+let through (p : Problem.t) rng buf ~is_end ~edge ~attempts =
   let a, b = p.edge_ends.(edge) in
-  let starts = Array.copy p.starts and ends = Array.copy p.ends in
   let try_once () =
-    let s = starts.(Rng.int rng (Array.length starts)) in
+    let s = p.starts.(Rng.int rng (Array.length p.starts)) in
     let x, y = if Rng.bool rng then (a, b) else (b, a) in
     if p.terminal.(x) || p.terminal.(y) then None
     else begin
-      let blocked = Array.make p.num_nodes false in
-      blocked.(y) <- true;
-      match bfs_route p rng ~src:s ~is_goal:(fun n -> n = x) ~blocked with
+      Array.fill buf.blocked 0 p.num_nodes false;
+      buf.blocked.(y) <- true;
+      match bfs_route p rng buf ~src:s ~is_goal:(fun n -> n = x) with
       | None -> None
       | Some (nodes1, edges1) ->
-        let blocked = Array.make p.num_nodes false in
-        List.iter (fun n -> blocked.(n) <- true) nodes1;
-        let valid_end n =
-          Array.exists (fun t -> t = n) ends && p.valid_pair s n
-        in
-        (match bfs_route p rng ~src:y ~is_goal:valid_end ~blocked with
+        Array.fill buf.blocked 0 p.num_nodes false;
+        List.iter (fun n -> buf.blocked.(n) <- true) nodes1;
+        (match bfs_route p rng buf ~src:y ~is_goal:(fun n -> is_end.(n)) with
         | None -> None
         | Some (nodes2, edges2) ->
           let nodes = nodes1 @ nodes2 in
@@ -97,37 +133,44 @@ let through (p : Problem.t) rng ~edge ~attempts =
    deep path; bounded-backtrack dives spread the budget over many
    independent path shapes, and the constructive seeds guarantee that a
    sparse, targeted weight profile (mop-up, leakage victims, probes) is
-   served even when blind dives would never stumble onto the target. *)
-let find ?(params = default_params) (p : Problem.t) ~weight =
-  if Array.length weight <> p.num_edges then invalid_arg "Path_search.find";
-  Array.iter
-    (fun w -> if w < 0.0 then invalid_arg "Path_search.find: negative weight")
-    weight;
+   served even when blind dives would never stumble onto the target.
+
+   The dives allocate nothing per step.  The path lives in arrays indexed
+   by depth, and the candidates of a node on the path are kept, sorted, in
+   that node's own CSR slice of [cand_*]: path nodes are distinct, so the
+   slices of the nodes on the path never overlap. *)
+let search params (p : Problem.t) ~weight =
+  let n = p.num_nodes in
+  let adj_off = p.adj_off and adj_node = p.adj_node and adj_edge = p.adj_edge in
   let rng = Rng.create params.seed in
   let budget = ref params.step_budget in
-  let best = { score = neg_infinity; nodes = []; edges = []; found = false } in
+  let dives = ref 0 in
+  let best =
+    { score = neg_infinity; nodes = []; edges = []; len = 0; found = false }
+  in
   let total_weight = Array.fold_left ( +. ) 0.0 weight in
   let perfect = ref false in
-  let score_of edges =
-    (* paths are simple, so edges are distinct *)
-    List.fold_left (fun acc e -> acc +. weight.(e)) 0.0 edges
+  let improve score nodes edges len =
+    best.score <- score;
+    best.nodes <- nodes;
+    best.edges <- edges;
+    best.len <- len;
+    best.found <- true;
+    if score >= total_weight -. 1e-9 then perfect := true
+  in
+  let beats score len =
+    score > best.score +. 1e-9
+    || (not best.found)
+    || (abs_float (score -. best.score) <= 1e-9 && best.found && len < best.len)
   in
   let offer (path : Problem.path) =
-    let score = score_of path.Problem.edges in
-    if
-      score > best.score +. 1e-9
-      || (not best.found)
-      || (abs_float (score -. best.score) <= 1e-9
-         && best.found
-         && List.length path.Problem.nodes < List.length best.nodes)
-    then begin
-      best.score <- score;
-      best.nodes <- path.Problem.nodes;
-      best.edges <- path.Problem.edges;
-      best.found <- true;
-      if score >= total_weight -. 1e-9 then perfect := true
-    end
+    (* paths are simple, so edges are distinct *)
+    let score = List.fold_left (fun acc e -> acc +. weight.(e)) 0.0 path.edges in
+    let len = List.length path.nodes in
+    if beats score len then improve score path.nodes path.edges len
   in
+  let is_end = Array.make n false in
+  Array.iter (fun x -> is_end.(x) <- true) p.ends;
   (* Constructive seeds: a guaranteed-style candidate through each of the
      heaviest weighted edges. *)
   let heavy =
@@ -137,104 +180,122 @@ let find ?(params = default_params) (p : Problem.t) ~weight =
     Array.iteri (fun k e -> if k < 3 && weight.(e) > 0.0 then out := e :: !out) idx;
     List.rev !out
   in
-  List.iter
-    (fun e ->
-      match through p rng ~edge:e ~attempts:12 with
-      | Some path -> offer path
-      | None -> ())
-    heavy;
+  if heavy <> [] then begin
+    let buf = bfs_buffers p in
+    List.iter
+      (fun e ->
+        match through p rng buf ~is_end ~edge:e ~attempts:12 with
+        | Some path -> offer path
+        | None -> ())
+      heavy
+  end;
   (* Randomised dives. *)
-  let visited = Array.make p.num_nodes false in
-  let node_stack = ref [] and edge_stack = ref [] in
-  let path_len = ref 0 in
+  let visited = Array.make n false in
+  let path_node = Array.make n 0 in
+  let path_edge = Array.make n 0 in
+  let path_score = Array.make n 0.0 in
+  let cand_key = Array.make (2 * p.num_edges) 0.0 in
+  let cand_node = Array.make (2 * p.num_edges) 0 in
+  let cand_edge = Array.make (2 * p.num_edges) 0 in
   let backtracks = ref 0 in
-  let is_end = Array.make p.num_nodes false in
-  Array.iter (fun n -> is_end.(n) <- true) p.ends;
   (* Anti-masking: stepping onto [x] via [f] is legal only if no
      pair-constrained edge links [x] to an already-visited node (other than
      through [f] itself): such an edge could never be traversed any more. *)
   let masking_ok x f =
-    List.for_all
-      (fun (y, e) -> (not p.pair_constrained.(e)) || e = f || not visited.(y))
-      p.adj.(x)
-  in
-  let record start final final_edge score =
-    if is_end.(final) && (not visited.(final)) && p.valid_pair start final
-       && masking_ok final final_edge
-       && (score > best.score +. 1e-9
-          || (not best.found)
-          || (abs_float (score -. best.score) <= 1e-9
-             && best.found
-             && !path_len + 1 < List.length best.nodes))
-    then begin
-      best.score <- score;
-      best.nodes <- List.rev (final :: !node_stack);
-      best.edges <- List.rev (final_edge :: !edge_stack);
-      best.found <- true;
-      if score >= total_weight -. 1e-9 then perfect := true
-    end
+    let k = ref adj_off.(x) and hi = adj_off.(x + 1) in
+    while
+      !k < hi
+      && (let e = adj_edge.(!k) in
+          (not p.pair_constrained.(e)) || e = f || not visited.(adj_node.(!k)))
+    do
+      incr k
+    done;
+    !k = hi
   in
   let unvisited_degree x =
-    List.fold_left
-      (fun acc (y, _) -> if visited.(y) then acc else acc + 1)
-      0 p.adj.(x)
+    let d = ref 0 in
+    for k = adj_off.(x) to adj_off.(x + 1) - 1 do
+      if not visited.(adj_node.(k)) then incr d
+    done;
+    !d
   in
-  let rec explore start score =
+  (* The end hop from depth [d] to [final] over [final_edge]. *)
+  let record d final final_edge =
+    if masking_ok final final_edge then begin
+      let score = path_score.(d) +. weight.(final_edge) in
+      if beats score (d + 2) then begin
+        let nodes = ref [ final ] and edges = ref [ final_edge ] in
+        for i = d downto 1 do
+          nodes := path_node.(i) :: !nodes;
+          edges := path_edge.(i) :: !edges
+        done;
+        improve score (path_node.(0) :: !nodes) !edges (d + 2)
+      end
+    end
+  in
+  let rec explore d =
     if !budget <= 0 then raise Out_of_budget;
     decr budget;
-    let current = List.hd !node_stack in
+    let current = path_node.(d) in
+    let lo = adj_off.(current) and hi = adj_off.(current + 1) in
     (* Harvest end hops. *)
-    List.iter
-      (fun (y, e) ->
-        if not !perfect then record start y e (score +. weight.(e)))
-      p.adj.(current);
+    for k = lo to hi - 1 do
+      let y = adj_node.(k) in
+      if (not !perfect) && is_end.(y) && not visited.(y) then
+        record d y adj_edge.(k)
+    done;
     if not !perfect then begin
-      let cands =
-        List.filter_map
-          (fun (y, e) ->
-            if visited.(y) || p.terminal.(y) then None
-            else if not (masking_ok y e) then None
-            else begin
-              let key =
-                (-.weight.(e) *. 1024.0)
-                +. float_of_int (unvisited_degree y)
-                +. Rng.float rng 0.5
-              in
-              Some (key, y, e)
-            end)
-          p.adj.(current)
-      in
-      let cands = List.sort (fun (a, _, _) (b, _, _) -> compare a b) cands in
-      let step (_, y, e) =
+      (* One draw per admissible candidate in adjacency order; a stable
+         insertion sort on the keys. *)
+      let count = ref 0 in
+      for k = lo to hi - 1 do
+        let y = adj_node.(k) and e = adj_edge.(k) in
+        if (not (visited.(y) || p.terminal.(y))) && masking_ok y e then begin
+          let key =
+            (-.weight.(e) *. 1024.0)
+            +. float_of_int (unvisited_degree y)
+            +. Rng.float rng 0.5
+          in
+          let i = ref (lo + !count) in
+          while !i > lo && cand_key.(!i - 1) > key do
+            cand_key.(!i) <- cand_key.(!i - 1);
+            cand_node.(!i) <- cand_node.(!i - 1);
+            cand_edge.(!i) <- cand_edge.(!i - 1);
+            decr i
+          done;
+          cand_key.(!i) <- key;
+          cand_node.(!i) <- y;
+          cand_edge.(!i) <- e;
+          incr count
+        end
+      done;
+      for i = lo to lo + !count - 1 do
         if not !perfect then begin
+          let y = cand_node.(i) and e = cand_edge.(i) in
           visited.(y) <- true;
-          node_stack := y :: !node_stack;
-          edge_stack := e :: !edge_stack;
-          incr path_len;
-          explore start (score +. weight.(e));
+          path_node.(d + 1) <- y;
+          path_edge.(d + 1) <- e;
+          path_score.(d + 1) <- path_score.(d) +. weight.(e);
+          explore (d + 1);
           visited.(y) <- false;
-          node_stack := List.tl !node_stack;
-          edge_stack := List.tl !edge_stack;
-          decr path_len;
           (* Returning here means the child subtree was abandoned: spend one
              unit of this dive's backtracking allowance. *)
           decr backtracks;
           if !backtracks < 0 then raise Abort_dive
         end
-      in
-      List.iter step cands
+      done
     end
   in
   let dive start =
-    Array.fill visited 0 p.num_nodes false;
+    incr dives;
+    Array.fill visited 0 n false;
     visited.(start) <- true;
-    node_stack := [ start ];
-    edge_stack := [];
-    path_len := 1;
+    path_node.(0) <- start;
+    path_score.(0) <- 0.0;
     (* Allowance scales with instance size: enough to wriggle out of small
        pockets, not enough to stagnate in one region. *)
-    backtracks := 16 + (p.num_nodes / 8);
-    try explore start 0.0 with Abort_dive -> ()
+    backtracks := 16 + (n / 8);
+    try explore 0 with Abort_dive -> ()
   in
   (try
      let starts = Array.copy p.starts in
@@ -243,5 +304,19 @@ let find ?(params = default_params) (p : Problem.t) ~weight =
        Array.iter (fun s -> if not !perfect then dive s) starts
      done
    with Out_of_budget -> ());
+  Trace.add steps_counter (params.step_budget - !budget);
+  Trace.add dives_counter !dives;
   if best.found then Some { Problem.nodes = best.nodes; edges = best.edges }
   else None
+
+let find ?(params = default_params) (p : Problem.t) ~weight =
+  if Array.length weight <> p.num_edges then invalid_arg "Path_search.find";
+  Array.iter
+    (fun w ->
+      if Float.is_nan w then invalid_arg "Path_search.find: NaN weight"
+      else if w < 0.0 then invalid_arg "Path_search.find: negative weight")
+    weight;
+  Trace.incr calls_counter;
+  (* No start or no end: no admissible path exists. *)
+  if Array.length p.starts = 0 || Array.length p.ends = 0 then None
+  else search params p ~weight

@@ -6,11 +6,11 @@
     covering loop ({!Cover}) calls this repeatedly with shrinking weights.
 
     The search honours all side conditions of the {!Problem} instance:
-    terminal nodes only at path extremities, admissible endpoint pairs and
-    the anti-masking rule on pair-constrained edges.  Neighbour ordering
-    prefers heavy edges, then tightly-packed moves (fewest unvisited
-    neighbours), which drives the search toward long serpentine paths; a
-    deterministic RNG adds tie-breaking jitter across restarts. *)
+    terminal nodes only at path extremities and the anti-masking rule on
+    pair-constrained edges.  Neighbour ordering prefers heavy edges, then
+    tightly-packed moves (fewest unvisited neighbours), which drives the
+    search toward long serpentine paths; a deterministic RNG adds
+    tie-breaking jitter across restarts. *)
 
 type params = {
   step_budget : int;
@@ -24,6 +24,10 @@ val default_params : params
 val find :
   ?params:params -> Problem.t -> weight:float array -> Problem.path option
 (** [find problem ~weight] is the best path found within budget, or [None]
-    if no admissible path exists at all.  [weight] is indexed by edge id and
-    must be non-negative.  A returned path always satisfies
-    [Problem.path_ok]. *)
+    if no admissible path exists at all (in particular when the instance
+    has no start or no end).  [weight] is indexed by edge id and must be
+    non-negative.  A returned path always satisfies [Problem.path_ok].
+    Each call adds to the Trace counters [path_search.calls],
+    [path_search.steps] (expansions spent) and [path_search.dives].
+    @raise Invalid_argument on a size mismatch, a negative or a NaN
+    weight. *)

@@ -2,18 +2,19 @@ type t = {
   name : string;
   num_nodes : int;
   num_edges : int;
-  adj : (int * int) list array;
+  adj_off : int array;
+  adj_node : int array;
+  adj_edge : int array;
   edge_ends : (int * int) array;
   required : bool array;
   pair_constrained : bool array;
   terminal : bool array;
   starts : int array;
   ends : int array;
-  valid_pair : int -> int -> bool;
 }
 
 let build ~name ~num_nodes ~edges ~required ?pair_constrained ?terminal
-    ?(valid_pair = fun _ _ -> true) ~starts ~ends () =
+    ~starts ~ends () =
   let num_edges = Array.length edges in
   if Array.length required <> num_edges then
     invalid_arg "Problem.build: required size";
@@ -42,14 +43,32 @@ let build ~name ~num_nodes ~edges ~required ?pair_constrained ?terminal
     edges;
   Array.iter check_node starts;
   Array.iter check_node ends;
-  let adj = Array.make num_nodes [] in
-  Array.iteri
-    (fun e (a, b) ->
-      adj.(a) <- (b, e) :: adj.(a);
-      adj.(b) <- (a, e) :: adj.(b))
+  (* CSR adjacency; each node's slice lists its edges by descending id. *)
+  let adj_off = Array.make (num_nodes + 1) 0 in
+  Array.iter
+    (fun (a, b) ->
+      adj_off.(a + 1) <- adj_off.(a + 1) + 1;
+      adj_off.(b + 1) <- adj_off.(b + 1) + 1)
     edges;
-  { name; num_nodes; num_edges; adj; edge_ends = edges; required;
-    pair_constrained; terminal; starts; ends; valid_pair }
+  for i = 1 to num_nodes do
+    adj_off.(i) <- adj_off.(i) + adj_off.(i - 1)
+  done;
+  let adj_node = Array.make (2 * num_edges) 0 in
+  let adj_edge = Array.make (2 * num_edges) 0 in
+  let cursor = Array.sub adj_off 0 num_nodes in
+  let push u v e =
+    let k = cursor.(u) in
+    adj_node.(k) <- v;
+    adj_edge.(k) <- e;
+    cursor.(u) <- k + 1
+  in
+  for e = num_edges - 1 downto 0 do
+    let a, b = edges.(e) in
+    push a b e;
+    push b a e
+  done;
+  { name; num_nodes; num_edges; adj_off; adj_node; adj_edge; edge_ends = edges;
+    required; pair_constrained; terminal; starts; ends }
 
 let num_required t =
   Array.fold_left (fun acc r -> if r then acc + 1 else acc) 0 t.required
@@ -72,8 +91,6 @@ let path_ok t p =
     let final = last p.nodes in
     if not (mem_array first t.starts) then fail "start %d not a start node" first
     else if not (mem_array final t.ends) then fail "end %d not an end node" final
-    else if not (t.valid_pair first final) then
-      fail "endpoints (%d,%d) not admissible" first final
     else if List.length p.edges <> List.length p.nodes - 1 then
       fail "edge count mismatch"
     else begin

@@ -14,8 +14,12 @@ type t = private {
   name : string;
   num_nodes : int;
   num_edges : int;
-  adj : (int * int) list array;
-      (** per node: [(neighbour, edge-id)]; symmetric *)
+  adj_off : int array;
+      (** CSR adjacency, the layout of {!Fpva_grid.Compiled}: node [n]'s
+          arcs are [adj_off.(n) .. adj_off.(n + 1) - 1] ([num_nodes + 1]
+          entries, [adj_off.(0) = 0]), listed by descending edge id *)
+  adj_node : int array;  (** the neighbour reached by each arc *)
+  adj_edge : int array;  (** the edge id crossed by each arc; symmetric *)
   edge_ends : (int * int) array;  (** canonical endpoints of each edge *)
   required : bool array;  (** edges that must be covered across all paths *)
   pair_constrained : bool array;
@@ -26,10 +30,6 @@ type t = private {
           (ports in the primal problem, boundary corners in the dual) *)
   starts : int array;
   ends : int array;
-  valid_pair : int -> int -> bool;
-      (** extra admissibility of a (start, end) combination — used by the
-          dual problem, where the two endpoints must split the chip outline
-          into a source arc and a sink arc *)
 }
 
 val build :
@@ -39,7 +39,6 @@ val build :
   required:bool array ->
   ?pair_constrained:bool array ->
   ?terminal:bool array ->
-  ?valid_pair:(int -> int -> bool) ->
   starts:int array ->
   ends:int array ->
   unit ->
@@ -57,8 +56,8 @@ type path = {
 
 val path_ok : t -> path -> (unit, string) result
 (** Full audit of a candidate path: simplicity, adjacency of consecutive
-    nodes, start/end membership and [valid_pair], terminal discipline, and
-    the anti-masking rule on [pair_constrained] edges. *)
+    nodes, start/end membership, terminal discipline, and the anti-masking
+    rule on [pair_constrained] edges. *)
 
 val covered : t -> path list -> bool array
 (** Per-edge: is it covered by some path? *)

@@ -125,6 +125,21 @@ let problem_tests =
         (* path 0-1-2 doesn't visit 3: fine *)
         let good = { Problem.nodes = [ 0; 1; 2 ]; edges = [ 0; 1 ] } in
         checkb "good" true (Problem.path_ok q good = Ok ()));
+    qcheck_layout ~count:40 "CSR slices list each node's edges like the oracle"
+      (fun t ->
+        let prob, _ = Flow_path.problem t in
+        let lists = Path_search_oracle.adjacency prob in
+        let ok = ref true in
+        for n = 0 to prob.Problem.num_nodes - 1 do
+          let lo = prob.Problem.adj_off.(n) in
+          let slice =
+            List.init
+              (prob.Problem.adj_off.(n + 1) - lo)
+              (fun i -> (prob.Problem.adj_node.(lo + i), prob.Problem.adj_edge.(lo + i)))
+          in
+          if slice <> lists.(n) then ok := false
+        done;
+        !ok);
     case "covered / uncovered bookkeeping" (fun () ->
         let p = line_problem 3 in
         let path = { Problem.nodes = [ 0; 1; 2; 3 ]; edges = [ 0; 1; 2 ] } in
@@ -168,6 +183,29 @@ let search_tests =
         Alcotest.check_raises "negative"
           (Invalid_argument "Path_search.find: negative weight") (fun () ->
             ignore (Path_search.find p ~weight:[| 1.0; -1.0 |])));
+    case "NaN weights are rejected" (fun () ->
+        let p = line_problem 2 in
+        Alcotest.check_raises "NaN"
+          (Invalid_argument "Path_search.find: NaN weight") (fun () ->
+            ignore (Path_search.find p ~weight:[| nan; 1.0 |])));
+    case "no start: None, with positive or all-zero weights" (fun () ->
+        (* positive weights used to raise from the constructive seeds, and
+           all-zero weights used to loop forever over the empty start set *)
+        let p =
+          Problem.build ~name:"nostart" ~num_nodes:3
+            ~edges:[| (0, 1); (1, 2) |] ~required:[| true; true |]
+            ~starts:[||] ~ends:[| 2 |] ()
+        in
+        checkb "positive" true (Path_search.find p ~weight:[| 1.0; 1.0 |] = None);
+        checkb "zero" true (Path_search.find p ~weight:[| 0.0; 0.0 |] = None));
+    case "no end: None" (fun () ->
+        let p =
+          Problem.build ~name:"noend" ~num_nodes:3
+            ~edges:[| (0, 1); (1, 2) |] ~required:[| true; true |]
+            ~starts:[| 0 |] ~ends:[||] ()
+        in
+        checkb "positive" true (Path_search.find p ~weight:[| 1.0; 1.0 |] = None);
+        checkb "zero" true (Path_search.find p ~weight:[| 0.0; 0.0 |] = None));
     case "deterministic for equal params" (fun () ->
         let p = diamond_problem () in
         let w = Array.make 7 1.0 in
@@ -183,6 +221,96 @@ let search_tests =
         match Path_search.find prob ~weight with
         | Some path -> Problem.path_ok prob path = Ok ()
         | None -> true);
+  ]
+
+(* ---------- Path_search against its list-based oracle ---------- *)
+
+module Trace = Fpva_util.Trace
+
+(* [Path_search.find] under tracing, with the steps and dives it counted. *)
+let counted_find ~params prob ~weight =
+  Trace.reset ();
+  Trace.enable ();
+  let path =
+    Fun.protect ~finally:Trace.disable (fun () ->
+        Path_search.find ~params prob ~weight)
+  in
+  ( path,
+    Trace.count (Trace.counter "path_search.steps"),
+    Trace.count (Trace.counter "path_search.dives") )
+
+let budgets = [ 1; 300; 5_000 ]
+
+(* Every (seed, budget) run of [find] equals the oracle's: path, steps and
+   dives. *)
+let agrees_with_oracle ~seeds prob ~weight =
+  List.for_all
+    (fun seed ->
+      List.for_all
+        (fun step_budget ->
+          let params = { Path_search.step_budget; seed } in
+          counted_find ~params prob ~weight
+          = Path_search_oracle.find ~params prob ~weight)
+        budgets)
+    seeds
+
+(* Required edges at 0/1; the same with one edge at 1000; random
+   non-negative weights on a coarse grid, so that weights tie. *)
+let weight_profiles (prob : Problem.t) ~salt =
+  let m = prob.Problem.num_edges in
+  let base = Array.map (fun r -> if r then 1.0 else 0.0) prob.Problem.required in
+  let rng = Fpva_util.Rng.create (salt + m) in
+  let heavy = Array.copy base in
+  if m > 0 then heavy.(Fpva_util.Rng.int rng m) <- 1000.0;
+  let random =
+    Array.init m (fun _ -> 0.5 *. float_of_int (Fpva_util.Rng.int rng 4))
+  in
+  [ base; heavy; random ]
+
+(* Node 1 is a hub of degree 7: two parallel edges to 0, two to 2, and
+   one each to 3, 4 and 5.  Starts 0 and 2, ends 6 and 5, nodes 0 and 6
+   terminal, every fourth edge pair-constrained. *)
+let hub_problem () =
+  let edges =
+    [| (0, 1); (0, 1); (1, 2); (1, 3); (1, 4); (1, 5); (2, 3); (3, 4); (4, 5);
+       (5, 6); (2, 6); (1, 2); (3, 6) |]
+  in
+  let m = Array.length edges in
+  let pc = Array.init m (fun e -> e mod 4 = 3) in
+  let terminal = [| true; false; false; false; false; false; true |] in
+  Problem.build ~name:"hub" ~num_nodes:7 ~edges
+    ~required:(Array.init m (fun e -> e mod 3 <> 2))
+    ~pair_constrained:pc ~terminal ~starts:[| 0; 2 |] ~ends:[| 6; 5 |] ()
+
+let oracle_tests =
+  [
+    case "hub with parallel edges agrees with the oracle" (fun () ->
+        let p = hub_problem () in
+        checkb "hub degree > 4" true (p.Problem.adj_off.(2) - p.Problem.adj_off.(1) > 4);
+        List.iter
+          (fun weight ->
+            checkb "agrees" true
+              (agrees_with_oracle ~seeds:(List.init 20 Fun.id) p ~weight);
+            match Path_search.find p ~weight with
+            | Some path -> checkb "valid" true (Problem.path_ok p path = Ok ())
+            | None -> Alcotest.fail "no path")
+          (Array.make 13 1.0 :: weight_profiles p ~salt:3));
+    qcheck_layout ~count:30 "find agrees with the list-based oracle"
+      (fun t ->
+        let flow, _ = Flow_path.problem t in
+        let forbidden, _ =
+          Flow_path.problem ~forbidden_valves:[ Fpva_grid.Fpva.num_valves t / 2 ] t
+        in
+        let problems =
+          (flow :: List.map fst (Cut_set.problems t)) @ [ forbidden ]
+        in
+        List.for_all
+          (fun prob ->
+            List.for_all
+              (fun weight ->
+                agrees_with_oracle ~seeds:[ 0x5eed; 7; 1234 ] prob ~weight)
+              (weight_profiles prob ~salt:(Fpva_grid.Fpva.num_valves t)))
+          problems);
   ]
 
 (* ---------- Path_ilp ---------- *)
@@ -321,4 +449,25 @@ let cover_tests =
              outcome.Cover.uncovered);
   ]
 
-let tests = problem_tests @ search_tests @ ilp_tests @ cover_tests
+(* ---------- pinned suites ----------
+
+   The suite text of the paper's arrays under the default configuration,
+   pinned by digest: any change to the search's draw order, candidate order
+   or step accounting moves these. *)
+
+let pinned_tests =
+  List.map
+    (fun (n, total, digest) ->
+      slow_case (Printf.sprintf "paper %dx%d suite is pinned" n n) (fun () ->
+          let t = Fpva_grid.Layouts.paper_array n in
+          let r = Pipeline.run_exn t in
+          checki "N" total r.Pipeline.total;
+          check Alcotest.string "digest" digest
+            (Digest.to_hex
+               (Digest.string (Suite_io.to_string t r.Pipeline.vectors)))))
+    [ (5, 17, "7d0c3a4bb6968c0577de3d33c6702658");
+      (10, 40, "20a29170625e8a0c54d13b3a9937aca4") ]
+
+let tests =
+  problem_tests @ search_tests @ oracle_tests @ ilp_tests @ cover_tests
+  @ pinned_tests

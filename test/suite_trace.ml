@@ -246,6 +246,22 @@ let coverage_tests =
           (List.for_all
              (fun e -> List.mem_assoc "status" e.Trace.tags)
              stages));
+    case "path_search counters repeat and leave the suite unchanged" (fun () ->
+        let t = Layouts.paper_array 5 in
+        let suite r = Suite_io.to_string t r.Pipeline.vectors in
+        let untraced = suite (Pipeline.run_exn t) in
+        let traced () =
+          with_tracing (fun () ->
+              let r = Pipeline.run_exn t in
+              ( suite r,
+                List.map count_of
+                  [ "path_search.calls"; "path_search.steps"; "path_search.dives" ] ))
+        in
+        let suite1, counts1 = traced () in
+        let _, counts2 = traced () in
+        check Alcotest.(list int) "equal counts" counts1 counts2;
+        checkb "nonzero" true (List.for_all (fun c -> c > 0) counts1);
+        check Alcotest.string "traced suite = untraced" untraced suite1);
     case "traced sharded campaign matches its untraced twin" (fun () ->
         let t = Layouts.paper_array 5 in
         let suite = Pipeline.run_exn t in
