@@ -1,6 +1,6 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (Section IV) plus the ablations called out in DESIGN.md, and
-   runs Bechamel micro-benchmarks of the computational kernels.
+   gates the campaign, checkpoint, serve and diagnosis engines.
 
    Usage:
      dune exec bench/main.exe                 # everything, moderate trials
@@ -9,8 +9,7 @@
      dune exec bench/main.exe -- fig9
      dune exec bench/main.exe -- faults [trials]
      dune exec bench/main.exe -- ablation
-     dune exec bench/main.exe -- noise
-     dune exec bench/main.exe -- micro *)
+     dune exec bench/main.exe -- noise *)
 
 open Fpva_grid
 open Fpva_testgen
@@ -475,26 +474,46 @@ let scalar_campaign_run ~detects (config : Campaign.config) fpva ~vectors =
 
 let compiled_detects fpva () = Simulator.detects_h (Simulator.make fpva)
 
-(* The pre-refactor application path, reconstructed on top of the kept
-   specification traversal: every vector application re-derives effective
-   valve states and walks the grid node-by-node through an edge-valued
-   predicate.  Same draws as [Campaign.run], so the two paths score
-   identical fault sets and must agree on detection counts. *)
-let spec_detects fpva () ~faults v =
-  let states =
-    Simulator.effective_states fpva ~faults
-      ~open_valves:v.Test_vector.open_valves
-  in
-  let obs =
-    Graph.pressurized_sinks_spec fpva ~open_edge:(fun e ->
-        match Fpva.valve_id_opt fpva e with
-        | Some vid -> states.(vid)
-        | None -> true)
-  in
-  obs <> v.Test_vector.golden
-
-let detected_total (r : Campaign.result) =
-  List.fold_left (fun acc row -> acc + row.Campaign.detected) 0 r.Campaign.rows
+(* Artifact self-check: read a BENCH file back and refuse missing or
+   vacuous fields.  This is what makes a bench the single writer of every
+   number it reports — a stale or hand-edited artifact cannot pass.
+   [pos_ints] and [pos_floats] must be present and positive, [bools]
+   present, [trues] present and true, and [present] merely present. *)
+let self_check file ?(pos_ints = []) ?(pos_floats = []) ?(bools = [])
+    ?(trues = []) ?(present = []) () =
+  let module Json = Fpva_serve.Json in
+  match Json.parse (In_channel.with_open_bin file In_channel.input_all) with
+  | Error msg ->
+    Printf.printf "ERROR: %s does not parse: %s\n" file msg;
+    false
+  | Ok json ->
+    let positive get is_positive f =
+      match get f json with
+      | Some v when is_positive v -> None
+      | Some _ -> Some "is vacuous"
+      | None -> Some "missing"
+    in
+    let missing found f = if found f then None else Some "missing" in
+    let problems =
+      List.concat_map
+        (fun (fields, verdict) ->
+          List.filter_map
+            (fun f -> Option.map (fun p -> f ^ " " ^ p) (verdict f))
+            fields)
+        [ (pos_ints, positive Json.get_int (fun v -> v > 0));
+          (pos_floats, positive Json.get_float (fun v -> v > 0.0));
+          (bools, missing (fun f -> Json.get_bool f json <> None));
+          ( trues,
+            fun f ->
+              match Json.get_bool f json with
+              | Some true -> None
+              | Some false -> Some "is false"
+              | None -> Some "missing" );
+          (present, missing (fun f -> Json.member f json <> None)) ]
+    in
+    List.iter (fun p -> Printf.printf "ERROR: %s: %s\n" file p) problems;
+    if problems = [] then Printf.printf "%s self-check passed\n" file;
+    problems = []
 
 (* Every field of BENCH_campaign.json is computed by this function, this
    run — nothing is copied forward from a previous artifact.  After
@@ -515,7 +534,6 @@ let campaign_bench ~trials () =
   let rate n wall = float_of_int n /. Float.max wall 1e-9 in
   (* Compiled path, ideal meters. *)
   let ideal = Campaign.run ~config fpva ~vectors in
-  let ideal_detected = detected_total ideal in
   let ideal_tps = rate total_trials ideal.Fpva_sim.Campaign.wall_seconds in
   (* A jobs sweep: rows must be bit-identical for every jobs value;
      throughput should scale with available cores. *)
@@ -605,15 +623,6 @@ let campaign_bench ~trials () =
   in
   let noisy = Fpva_sim.Campaign.run_noisy ~config:noise_config fpva ~vectors in
   let noisy_tps = rate total_trials noisy.Fpva_sim.Campaign.n_wall_seconds in
-  (* Reference (pre-refactor) path. *)
-  let legacy =
-    scalar_campaign_run ~detects:(spec_detects fpva) config fpva ~vectors
-  in
-  let legacy_detected = detected_total legacy in
-  let legacy_wall = legacy.Campaign.wall_seconds in
-  let legacy_tps = rate total_trials legacy_wall in
-  let speedup = ideal_tps /. Float.max legacy_tps 1e-9 in
-  let agreement = ideal_detected = legacy_detected in
   Printf.printf "vectors=%d, fault counts %s\n" suite.Pipeline.total
     (String.concat ","
        (List.map string_of_int config.Fpva_sim.Campaign.fault_counts));
@@ -621,13 +630,6 @@ let campaign_bench ~trials () =
     total_trials ideal.Fpva_sim.Campaign.wall_seconds ideal_tps;
   Printf.printf "noisy (compiled) : %d trials in %.3fs  (%.0f trials/s)\n"
     total_trials noisy.Fpva_sim.Campaign.n_wall_seconds noisy_tps;
-  Printf.printf "legacy reference : %d trials in %.3fs  (%.0f trials/s)\n"
-    total_trials legacy_wall legacy_tps;
-  Printf.printf "speedup (ideal vs legacy): %.1fx, detection counts agree: %b\n"
-    speedup agreement;
-  if not agreement then
-    Printf.printf "WARNING: compiled path detected %d, legacy detected %d\n"
-      ideal_detected legacy_detected;
   (* Bit-parallel kernel vs scalar reference. *)
   Printf.printf
     "scalar kernel    : %d trials at %.0f trials/s (best of 5, jobs=1)\n"
@@ -734,9 +736,6 @@ let campaign_bench ~trials () =
     \  \"total_trials\": %d,\n\
     \  \"ideal_trials_per_sec\": %.1f,\n\
     \  \"noisy_trials_per_sec\": %.1f,\n\
-    \  \"legacy_trials_per_sec\": %.1f,\n\
-    \  \"speedup_ideal_vs_legacy\": %.2f,\n\
-    \  \"detection_counts_agree\": %b,\n\
     \  \"kernel_trials_per_fault_count\": %d,\n\
     \  \"scalar_trials_per_sec\": %.1f,\n\
     \  \"batched_trials_per_sec\": %.1f,\n\
@@ -755,9 +754,8 @@ let campaign_bench ~trials () =
     \  \"trace_overhead_pct\": %.1f,\n\
     \  \"metrics\": {%s}\n\
      }\n"
-    suite.Pipeline.total trials total_trials ideal_tps noisy_tps legacy_tps
-    speedup agreement kernel_trials scalar_tps batched_tps batched_speedup
-    batched_rows_identical
+    suite.Pipeline.total trials total_trials ideal_tps noisy_tps kernel_trials
+    scalar_tps batched_tps batched_speedup batched_rows_identical
     (Domain.recommended_domain_count ())
     j1_tps (tps_of 2) (tps_of 4) parallel_speedup multicore
     (tps_of 4 /. (4.0 *. Float.max j1_tps 1e-9))
@@ -765,66 +763,26 @@ let campaign_bench ~trials () =
     metrics_json;
   close_out oc;
   Printf.printf "wrote BENCH_campaign.json\n";
-  (* Artifact self-check: read the file back and refuse missing or
-     vacuous fields.  This is what makes the bench the single writer of
-     every number it reports — a stale or hand-edited artifact cannot
-     pass. *)
   let artifact_ok =
-    let module Json = Fpva_serve.Json in
-    let contents =
-      let ic = open_in_bin "BENCH_campaign.json" in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match Json.parse contents with
-    | Error msg ->
-      Printf.printf "ERROR: BENCH_campaign.json does not parse: %s\n" msg;
-      false
-    | Ok json ->
-      let problems = ref [] in
-      let need_pos_float f =
-        match Json.get_float f json with
-        | Some v when v > 0.0 -> ()
-        | Some _ -> problems := (f ^ " is vacuous") :: !problems
-        | None -> problems := (f ^ " missing") :: !problems
-      in
-      let need_pos_int f =
-        match Json.get_int f json with
-        | Some v when v > 0 -> ()
-        | Some _ -> problems := (f ^ " is vacuous") :: !problems
-        | None -> problems := (f ^ " missing") :: !problems
-      in
-      let need_bool f =
-        if Json.get_bool f json = None then
-          problems := (f ^ " missing") :: !problems
-      in
-      List.iter need_pos_int
+    self_check "BENCH_campaign.json"
+      ~pos_ints:
         [ "vectors"; "trials_per_fault_count"; "total_trials";
-          "kernel_trials_per_fault_count"; "recommended_domains" ];
-      List.iter need_pos_float
+          "kernel_trials_per_fault_count"; "recommended_domains" ]
+      ~pos_floats:
         [ "ideal_trials_per_sec"; "noisy_trials_per_sec";
-          "legacy_trials_per_sec"; "speedup_ideal_vs_legacy";
           "scalar_trials_per_sec"; "batched_trials_per_sec";
           "batched_speedup_vs_scalar"; "sharded_j1_trials_per_sec";
           "sharded_j2_trials_per_sec"; "sharded_j4_trials_per_sec";
-          "parallel_speedup_j4_vs_j1"; "scaling_efficiency_j4" ];
-      List.iter need_bool
-        [ "detection_counts_agree"; "batched_rows_identical";
-          "parallel_gate_enforced"; "sharded_rows_identical_across_jobs";
-          "jobs2_not_slower"; "traced_rows_identical" ];
-      if Json.member "trace_overhead_pct" json = None then
-        problems := "trace_overhead_pct missing" :: !problems;
-      if Json.member "metrics" json = None then
-        problems := "metrics missing" :: !problems;
-      List.iter
-        (fun p -> Printf.printf "ERROR: BENCH_campaign.json: %s\n" p)
-        !problems;
-      !problems = []
+          "parallel_speedup_j4_vs_j1"; "scaling_efficiency_j4" ]
+      ~bools:
+        [ "batched_rows_identical"; "parallel_gate_enforced";
+          "sharded_rows_identical_across_jobs"; "jobs2_not_slower";
+          "traced_rows_identical" ]
+      ~present:[ "trace_overhead_pct"; "metrics" ]
+      ()
   in
-  if artifact_ok then Printf.printf "BENCH_campaign.json self-check passed\n";
-  agreement && rows_identical && traced_rows_identical
-  && batched_rows_identical && batched_gate && parallel_gate && artifact_ok
+  rows_identical && traced_rows_identical && batched_rows_identical
+  && batched_gate && parallel_gate && artifact_ok
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint overhead: journaled vs plain campaign throughput         *)
@@ -1171,164 +1129,17 @@ let diagnosis_bench () =
   close_out oc;
   Printf.printf "wrote BENCH_diagnosis.json\n";
   let artifact_ok =
-    let module Json = Fpva_serve.Json in
-    let contents =
-      let ic = open_in_bin "BENCH_diagnosis.json" in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match Json.parse contents with
-    | Error msg ->
-      Printf.printf "ERROR: BENCH_diagnosis.json does not parse: %s\n" msg;
-      false
-    | Ok json ->
-      let problems = ref [] in
-      let need_pos_int f =
-        match Json.get_int f json with
-        | Some v when v > 0 -> ()
-        | Some _ -> problems := (f ^ " is vacuous") :: !problems
-        | None -> problems := (f ^ " missing") :: !problems
-      in
-      let need_pos_float f =
-        match Json.get_float f json with
-        | Some v when v > 0.0 -> ()
-        | Some _ -> problems := (f ^ " is vacuous") :: !problems
-        | None -> problems := (f ^ " missing") :: !problems
-      in
-      let need_true f =
-        match Json.get_bool f json with
-        | Some true -> ()
-        | Some false -> problems := (f ^ " is false") :: !problems
-        | None -> problems := (f ^ " missing") :: !problems
-      in
-      List.iter need_pos_int
+    self_check "BENCH_diagnosis.json"
+      ~pos_ints:
         [ "vectors"; "faults"; "equivalence_classes"; "sessions";
-          "sequential_max_reads"; "fixed_suite_reads" ];
-      List.iter need_pos_float
+          "sequential_max_reads"; "fixed_suite_reads" ]
+      ~pos_floats:
         [ "resolution"; "sequential_mean_reads"; "sequential_p95_reads";
-          "reads_ratio"; "sweep_wall_s"; "noisy_sessions_per_s" ];
-      List.iter need_true
-        [ "mean_reads_below_fixed"; "outcome_classes_match" ];
-      List.iter
-        (fun p -> Printf.printf "ERROR: BENCH_diagnosis.json: %s\n" p)
-        !problems;
-      !problems = []
+          "reads_ratio"; "sweep_wall_s"; "noisy_sessions_per_s" ]
+      ~trues:[ "mean_reads_below_fixed"; "outcome_classes_match" ]
+      ()
   in
-  if artifact_ok then Printf.printf "BENCH_diagnosis.json self-check passed\n";
   agree && saved && artifact_ok
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  heading "Micro-benchmarks (Bechamel, monotonic clock)";
-  let open Bechamel in
-  let textbook_lp =
-    let module Lp = Fpva_milp.Lp in
-    let lp = Lp.create Lp.Maximize in
-    let x = Lp.add_var lp Lp.Continuous in
-    let y = Lp.add_var lp Lp.Continuous in
-    Lp.add_constr lp [ (1.0, x); (1.0, y) ] Lp.Le 4.0;
-    Lp.add_constr lp [ (1.0, x); (3.0, y) ] Lp.Le 6.0;
-    Lp.set_objective lp [ (3.0, x); (2.0, y) ];
-    lp
-  in
-  let knapsack =
-    let module Lp = Fpva_milp.Lp in
-    let lp = Lp.create Lp.Maximize in
-    let xs = Array.init 10 (fun _ -> Lp.add_var lp Lp.Binary) in
-    Lp.add_constr lp
-      (Array.to_list
-         (Array.mapi (fun i x -> (float_of_int ((i mod 4) + 1), x)) xs))
-      Lp.Le 9.0;
-    Lp.set_objective lp
-      (Array.to_list
-         (Array.mapi (fun i x -> (float_of_int ((i mod 5) + 1), x)) xs));
-    lp
-  in
-  let grid10 = Layouts.paper_array 10 in
-  let flow_prob, _ = Flow_path.problem grid10 in
-  let flow_weight =
-    Array.map (fun r -> if r then 1.0 else 0.0) flow_prob.Problem.required
-  in
-  let cut_prob, cut_mapping =
-    match Cut_set.problems grid10 with
-    | spec :: _ -> spec
-    | [] -> failwith "no cut problem"
-  in
-  let cut_weight =
-    Array.mapi
-      (fun de _ ->
-        match Cut_set.crossed_edge_of_mapping cut_mapping de with
-        | Some e when Fpva.edge_state grid10 e = Fpva.Valve -> 1.0
-        | Some _ | None -> 0.0)
-      cut_prob.Problem.edge_ends
-  in
-  let grid20 = Layouts.paper_array 20 in
-  let vector20 =
-    let paths, _ = Flow_path.generate grid20 in
-    Test_vector.of_flow_path grid20 (List.hd paths)
-  in
-  let tests =
-    Test.make_grouped ~name:"fpva"
-      [
-        Test.make ~name:"simplex/textbook"
-          (Staged.stage (fun () -> ignore (Fpva_milp.Simplex.solve textbook_lp)));
-        Test.make ~name:"branch-bound/knapsack10"
-          (Staged.stage (fun () ->
-               ignore (Fpva_milp.Branch_bound.solve knapsack)));
-        Test.make ~name:"search/flow-path-10x10"
-          (Staged.stage (fun () ->
-               ignore (Path_search.find flow_prob ~weight:flow_weight)));
-        Test.make ~name:"search/cut-path-10x10"
-          (Staged.stage (fun () ->
-               ignore (Path_search.find cut_prob ~weight:cut_weight)));
-        Test.make ~name:"sim/pressure-bfs-spec-20x20"
-          (Staged.stage (fun () ->
-               ignore
-                 (Graph.pressurized_sinks_spec grid20
-                    ~open_edge:(fun _ -> true))));
-        (let comp = Compiled.get grid20 in
-         let scratch = Compiled.create_scratch comp in
-         let into = Array.make (Compiled.num_ports comp) false in
-         Test.make ~name:"sim/pressure-bfs-compiled-20x20"
-           (Staged.stage (fun () ->
-                Graph.pressurized_into comp scratch
-                  ~open_valve:(fun _ -> true)
-                  ~into)));
-        Test.make ~name:"sim/apply-vector-20x20"
-          (Staged.stage (fun () ->
-               ignore
-                 (Fpva_sim.Simulator.apply_vector grid20 ~faults:[] vector20)));
-      ]
-  in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 1.0) () in
-  let raw = Benchmark.all cfg instances tests in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let table =
-    Table.create [ ("benchmark", Table.Left); ("ns/run", Table.Right) ]
-  in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols ->
-      let ns =
-        match Analyze.OLS.estimates ols with
-        | Some (x :: _) -> Printf.sprintf "%.0f" x
-        | Some [] | None -> "-"
-      in
-      rows := (name, ns) :: !rows)
-    results;
-  List.iter
-    (fun (name, ns) -> Table.add_row table [ name; ns ])
-    (List.sort compare !rows);
-  Table.print table
-
 
 let () =
   let args = Array.to_list Sys.argv in
@@ -1350,12 +1161,10 @@ let () =
     if not (checkpoint_bench ~trials ()) then exit 1
   | _ :: "serve" :: _ -> if not (serve_bench ()) then exit 1
   | _ :: "diagnosis" :: _ -> if not (diagnosis_bench ()) then exit 1
-  | _ :: "micro" :: _ -> micro ()
   | _ :: unknown :: _ ->
     Printf.eprintf
       "unknown experiment %S (try table1 | fig8 | fig9 | faults | ablation | \
-       noise | extensions | campaign | checkpoint | serve | diagnosis | \
-       micro)\n"
+       noise | extensions | campaign | checkpoint | serve | diagnosis)\n"
       unknown;
     exit 2
   | [ _ ] | [] ->
@@ -1368,5 +1177,4 @@ let () =
     ignore (campaign_bench ~trials:2_000 ());
     ignore (checkpoint_bench ~trials:2_000 ());
     ignore (serve_bench ());
-    ignore (diagnosis_bench ());
-    micro ()
+    ignore (diagnosis_bench ())

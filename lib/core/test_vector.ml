@@ -17,8 +17,9 @@ let golden_response fpva ~open_valves =
   (* The CSR arc slots carry valve ids directly, so the state array is the
      passability predicate — no edge-to-id lookups on the hot path. *)
   let comp = Compiled.get fpva in
-  Graph.pressurized_sinks_c comp (Compiled.default_scratch comp)
-    ~open_valve:(fun vid -> open_valves.(vid))
+  Compiled.with_scratch comp (fun s ->
+      Graph.pressurized_sinks_c comp s ~open_valve:(fun vid ->
+          open_valves.(vid)))
 
 let states_of_open_list fpva valve_ids =
   let states = Array.make (Fpva.num_valves fpva) false in

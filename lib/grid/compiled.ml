@@ -17,7 +17,7 @@ type t = {
   source_nodes : int array;
   sink_ports : int array;
   sink_node_mask : bool array;
-  mutable owned_scratch : scratch option;
+  spare : scratch option Atomic.t;
 }
 
 (* Directed arcs, emitted in a fixed order so the two CSR passes (degree
@@ -98,7 +98,7 @@ let of_fpva fpva =
     source_nodes = Array.of_list (List.rev !source_nodes);
     sink_ports = Array.of_list (List.rev !sink_ports);
     sink_node_mask;
-    owned_scratch = None;
+    spare = Atomic.make None;
   }
 
 type Fpva.derived += Compiled of t
@@ -143,6 +143,18 @@ let create_scratch t =
   { queue = Array.make (max t.num_nodes 1) 0;
     seen = Array.make (max t.num_nodes 1) 0;
     gen = 0 }
+
+(* The spare is taken out of its slot for the whole call, so a concurrent
+   or re-entrant traversal finds the slot empty and builds its own scratch
+   instead of sharing buffers.  The sequential case puts back the very
+   option block it took, so it allocates no new one. *)
+let with_scratch t f =
+  let spare = Atomic.exchange t.spare None in
+  let s = match spare with Some s -> s | None -> create_scratch t in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set t.spare (match spare with Some _ -> spare | None -> Some s))
+    (fun () -> f s)
 
 (* ---------- bit-parallel batch traversal ---------- *)
 
@@ -272,11 +284,3 @@ let pressurized_batch_into t (s : batch_scratch) ~active ~open_mask ~into =
   for i = 0 to t.num_ports - 1 do
     into.(i) <- mask.(base + i) land active
   done
-
-let default_scratch t =
-  match t.owned_scratch with
-  | Some s -> s
-  | None ->
-    let s = create_scratch t in
-    t.owned_scratch <- Some s;
-    s

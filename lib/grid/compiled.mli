@@ -1,9 +1,9 @@
 (** Compiled flat-grid core: one-time CSR adjacency over dense node ids.
 
-    A chip layout is static while vectors are applied, yet the polymorphic
-    {!Graph} view re-derives adjacency on every node visit — a fresh list
-    per neighbour query and an O(ports) rescan per cell.  [Compiled.t]
-    pays those costs once per layout: every node gets a dense integer id
+    A chip layout is static while vectors are applied, yet a node-by-node
+    walk re-derives adjacency on every node visit — a fresh list per
+    neighbour query and an O(ports) rescan per cell.  [Compiled.t] pays
+    those costs once per layout: every node gets a dense integer id
     (cells first, row-major, then ports), and adjacency is stored as the
     classic compressed-sparse-row triplet
 
@@ -13,13 +13,13 @@
     - [adj_edge]: the valve id crossed by the arc, or [-1] when the arc
       needs no permission (an open channel or the port–cell tube).
 
-    Arcs exist only where the legacy view would traverse: between adjacent
-    fluid cells whose shared edge is not a wall, and between a port and
-    its boundary cell (both directions, so cell–cell and port–cell arcs
-    are always symmetric).  Whether a valve arc is passable is the {e
-    caller's} decision at traversal time — the compiled form is valid for
-    every valve-state assignment, which is what lets one compilation serve
-    a whole fault-injection campaign.
+    Arcs exist only where a node-by-node walk would step: between
+    adjacent fluid cells whose shared edge is not a wall, and between a
+    port and its boundary cell (both directions, so cell–cell and
+    port–cell arcs are always symmetric).  Whether a valve arc is
+    passable is the {e caller's} decision at traversal time — the
+    compiled form is valid for every valve-state assignment, which is
+    what lets one compilation serve a whole fault-injection campaign.
 
     Traversals live in {!Graph} ([pressurized_sinks_c] and friends); this
     module owns construction, the per-layout cache, and the reusable
@@ -97,11 +97,13 @@ type scratch = {
 
 val create_scratch : t -> scratch
 
-val default_scratch : t -> scratch
-(** A scratch owned by the compilation itself, created lazily and reused
-    by the polymorphic {!Graph} wrappers.  Fine for the common
-    sequential case; callers running traversals from within a traversal
-    callback must {!create_scratch} their own. *)
+val with_scratch : t -> (scratch -> 'a) -> 'a
+(** [with_scratch t f] runs [f] on the compilation's spare scratch and
+    puts it back afterwards (also when [f] raises).  While the spare is
+    out, other calls — from another domain or thread, or nested inside
+    [f] — each get a fresh {!create_scratch}, so no two running
+    traversals ever share buffers.  Used by the polymorphic {!Graph}
+    wrappers, [Dual.is_cut] and [Test_vector.golden_response]. *)
 
 (** {2 Bit-parallel batch traversal}
 

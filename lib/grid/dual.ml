@@ -140,5 +140,5 @@ let is_cut t closed =
       | Some v -> mask.(v) <- true
       | None -> ())
     closed;
-  Graph.separates_c comp (Compiled.default_scratch comp)
-    ~closed_valve:(fun v -> mask.(v))
+  Compiled.with_scratch comp (fun s ->
+      Graph.separates_c comp s ~closed_valve:(fun v -> mask.(v)))

@@ -1,117 +1,5 @@
 type node = Cell of Coord.cell | Port of int
 
-let compare_node a b =
-  match (a, b) with
-  | Cell x, Cell y -> Coord.compare_cell x y
-  | Port i, Port j -> compare i j
-  | Cell _, Port _ -> -1
-  | Port _, Cell _ -> 1
-
-let pp_node ppf = function
-  | Cell c -> Format.fprintf ppf "cell%a" Coord.pp_cell c
-  | Port i -> Format.fprintf ppf "port#%d" i
-
-let cell_neighbors t ~open_edge c =
-  let step acc d =
-    let n = Coord.move c d in
-    if Fpva.in_bounds t n && Fpva.cell_state t n = Fpva.Fluid then begin
-      let e = Coord.edge_towards c d in
-      match Fpva.edge_state t e with
-      | Fpva.Wall -> acc
-      | Fpva.Open_channel -> (Cell n, Some e) :: acc
-      | Fpva.Valve -> if open_edge e then (Cell n, Some e) :: acc else acc
-    end
-    else acc
-  in
-  List.fold_left step [] Coord.all_dirs
-
-let ports_of_cell t ports c =
-  let out = ref [] in
-  Array.iteri
-    (fun i p -> if Fpva.port_cell t p = c then out := (Port i, None) :: !out)
-    ports;
-  !out
-
-let ports_at t c = ports_of_cell t (Fpva.ports t) c
-
-let neighbors t ~open_edge = function
-  | Port i ->
-    let p = (Fpva.ports t).(i) in
-    [ (Cell (Fpva.port_cell t p), None) ]
-  | Cell c -> cell_neighbors t ~open_edge c @ ports_at t c
-
-(* ------------------------------------------------------------------ *)
-(* Reference (specification) traversal                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* BFS over at most rows*cols + #ports nodes.  This is the executable
-   specification the compiled path is differentially tested against; the
-   production traversals below run over the CSR form. *)
-let bfs_spec t ~open_edge ~from =
-  let nc = Fpva.cols t in
-  let nr = Fpva.rows t in
-  let ports = Fpva.ports t in
-  let nports = Array.length ports in
-  let seen_cell = Array.make (nr * nc) false in
-  let seen_port = Array.make (max nports 1) false in
-  let mark = function
-    | Cell c ->
-      let i = (c.Coord.row * nc) + c.Coord.col in
-      if seen_cell.(i) then true
-      else begin
-        seen_cell.(i) <- true;
-        false
-      end
-    | Port i ->
-      if seen_port.(i) then true
-      else begin
-        seen_port.(i) <- true;
-        false
-      end
-  in
-  let neighbors = function
-    | Port i -> [ (Cell (Fpva.port_cell t ports.(i)), None) ]
-    | Cell c -> cell_neighbors t ~open_edge c @ ports_of_cell t ports c
-  in
-  let queue = Queue.create () in
-  List.iter
-    (fun n -> if not (mark n) then Queue.add n queue)
-    from;
-  while not (Queue.is_empty queue) do
-    let n = Queue.pop queue in
-    List.iter
-      (fun (m, _) -> if not (mark m) then Queue.add m queue)
-      (neighbors n)
-  done;
-  (seen_cell, seen_port)
-
-let reachable_spec t ~open_edge ~from n =
-  let seen_cell, seen_port = bfs_spec t ~open_edge ~from in
-  match n with
-  | Cell c -> seen_cell.((c.Coord.row * Fpva.cols t) + c.Coord.col)
-  | Port i -> seen_port.(i)
-
-let source_nodes t =
-  let out = ref [] in
-  Array.iteri
-    (fun i p -> if p.Fpva.kind = Fpva.Source then out := Port i :: !out)
-    (Fpva.ports t);
-  !out
-
-let pressurized_sinks_spec t ~open_edge =
-  let _, seen_port = bfs_spec t ~open_edge ~from:(source_nodes t) in
-  Array.sub seen_port 0 (Array.length (Fpva.ports t))
-
-let separates_spec t ~closed_edge =
-  let open_edge e = not (closed_edge e) in
-  let pressure = pressurized_sinks_spec t ~open_edge in
-  let ports = Fpva.ports t in
-  let ok = ref true in
-  Array.iteri
-    (fun i p -> if p.Fpva.kind = Fpva.Sink && pressure.(i) then ok := false)
-    ports;
-  !ok
-
 (* ------------------------------------------------------------------ *)
 (* Compiled traversal                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -201,16 +89,18 @@ let open_valve_of_pred comp open_edge v = open_edge (Compiled.valve_edge comp v)
 let reachable t ~open_edge ~from n =
   let comp = Compiled.get t in
   let from = Array.of_list (List.map (node_id comp) from) in
-  reachable_c comp (Compiled.default_scratch comp)
-    ~open_valve:(open_valve_of_pred comp open_edge)
-    ~from (node_id comp n)
+  Compiled.with_scratch comp (fun s ->
+      reachable_c comp s ~open_valve:(open_valve_of_pred comp open_edge)
+        ~from (node_id comp n))
 
 let pressurized_sinks t ~open_edge =
   let comp = Compiled.get t in
-  pressurized_sinks_c comp (Compiled.default_scratch comp)
-    ~open_valve:(open_valve_of_pred comp open_edge)
+  Compiled.with_scratch comp (fun s ->
+      pressurized_sinks_c comp s
+        ~open_valve:(open_valve_of_pred comp open_edge))
 
 let separates t ~closed_edge =
   let comp = Compiled.get t in
-  separates_c comp (Compiled.default_scratch comp)
-    ~closed_valve:(fun v -> closed_edge (Compiled.valve_edge comp v))
+  Compiled.with_scratch comp (fun s ->
+      separates_c comp s
+        ~closed_valve:(fun v -> closed_edge (Compiled.valve_edge comp v)))

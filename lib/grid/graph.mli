@@ -5,39 +5,23 @@
     passability is a parameter: callers decide which valves count as open
     — nominal states for generation, faulty states for simulation.
 
-    Two traversal paths coexist:
-
-    - the {e compiled} path ([*_c] functions) runs over the CSR adjacency
-      of {!Compiled} with caller-reusable scratch buffers and allocates
-      nothing per BFS — this is what the simulator and campaign layers
-      use, and what the polymorphic wrappers below delegate to;
-    - the {e specification} path ([*_spec] functions) is the direct
-      node-by-node traversal kept as the executable reference; the
-      compiled path is differentially tested against it
-      (test/suite_props.ml).
-
-    Both compute the same reachability sets; only cost differs. *)
+    Every traversal runs over the CSR adjacency of {!Compiled}: the
+    [*_c] functions take a caller-reusable scratch and allocate nothing
+    per BFS — this is what the simulator and campaign layers use — and
+    the polymorphic wrappers below borrow one through
+    {!Compiled.with_scratch}.  A node-by-node reference walk lives in the
+    test suite ([test/graph_oracle.ml]), which checks both paths against
+    it. *)
 
 type node = Cell of Coord.cell | Port of int  (** index into [Fpva.ports] *)
-
-val compare_node : node -> node -> int
-
-val pp_node : Format.formatter -> node -> unit
-
-val neighbors :
-  Fpva.t -> open_edge:(Coord.edge -> bool) -> node -> (node * Coord.edge option) list
-(** Adjacent nodes reachable through passable connections.  A [Port] is
-    adjacent (only) to its boundary cell; that hop carries no internal edge,
-    hence the [option].  A cell–cell hop requires [open_edge e = true] for
-    the internal edge between them, the far cell fluid, and is annotated
-    with that edge. *)
 
 (** {2 Polymorphic API (compiles on demand)}
 
     These wrappers fetch the cached {!Compiled.t} of the layout (building
     it on first use) and run the compiled traversal.  The predicates are
     consulted on valve edges only: open channels are always passable and
-    walls never are, exactly as in the specification path. *)
+    walls never are.  Concurrent calls on one layout are safe: each
+    borrows its own scratch. *)
 
 val reachable :
   Fpva.t -> open_edge:(Coord.edge -> bool) -> from:node list -> node -> bool
@@ -80,14 +64,3 @@ val separates_c :
 val reachable_c :
   Compiled.t -> Compiled.scratch -> open_valve:(int -> bool) ->
   from:int array -> int -> bool
-
-(** {2 Specification traversals (reference implementations)} *)
-
-val reachable_spec :
-  Fpva.t -> open_edge:(Coord.edge -> bool) -> from:node list -> node -> bool
-(** Exhaustive-BFS reference for {!reachable} (no early exit). *)
-
-val pressurized_sinks_spec :
-  Fpva.t -> open_edge:(Coord.edge -> bool) -> bool array
-
-val separates_spec : Fpva.t -> closed_edge:(Coord.edge -> bool) -> bool

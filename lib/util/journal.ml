@@ -43,7 +43,6 @@ let crc32 s =
 (* ---------- framing ---------- *)
 
 let magic = "FPVAJRN1"
-let snap_magic = "FPVASNP1"
 let magic_len = 8
 let header_len = 8 (* u32 payload length + u32 crc *)
 let max_record_len = 1 lsl 28
@@ -295,85 +294,6 @@ let create ?(sync_every = 32) ?(wrap_io = id_io) ~resume path =
       | Ok { records; valid_len; recovery = _ } ->
         make_writer records valid_len (valid_len = 0)
   with Error e -> Stdlib.Error e
-
-(* ---------- snapshots ---------- *)
-
-let fsync_dir path =
-  (* Durability of the rename itself; not every filesystem allows
-     fsync on a directory fd, so this is best-effort. *)
-  match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
-  | exception _ -> ()
-  | fd ->
-    (try Unix.fsync fd with _ -> ());
-    (try Unix.close fd with _ -> ())
-
-let write_snapshot ?(wrap_io = id_io) path payload =
-  let dir = Filename.dirname path in
-  let tmp = path ^ ".tmp" in
-  let fd =
-    try
-      Unix.openfile tmp
-        [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ]
-        0o644
-    with Unix.Unix_error (e, fn, _) ->
-      io_fail "%s: %s" fn (Unix.error_message e)
-  in
-  let io = wrap_io (file_io fd) in
-  (try
-     let buf = Buffer.create (String.length payload + 16) in
-     Buffer.add_string buf snap_magic;
-     put_u32 buf (String.length payload);
-     put_u32 buf (crc32 payload);
-     Buffer.add_string buf payload;
-     let b = Buffer.to_bytes buf in
-     write_all io b 0 (Bytes.length b);
-     sync_io io;
-     io.close ()
-   with exn ->
-     (try io.close () with _ -> ());
-     (try Sys.remove tmp with _ -> ());
-     (match exn with
-     | Error _ -> raise exn
-     | Unix.Unix_error (e, fn, _) -> io_fail "%s: %s" fn (Unix.error_message e)
-     | _ -> io_fail "snapshot: %s" (Printexc.to_string exn)));
-  (try Unix.rename tmp path with
-  | Unix.Unix_error (e, fn, _) ->
-    (try Sys.remove tmp with _ -> ());
-    io_fail "%s: %s" fn (Unix.error_message e));
-  fsync_dir dir
-
-let read_snapshot path =
-  if not (Sys.file_exists path) then
-    Stdlib.Error (Io_failure (Printf.sprintf "%s: no such snapshot" path))
-  else
-    match read_all path with
-    | exception Sys_error msg -> Stdlib.Error (Io_failure msg)
-    | image ->
-      let mlen = String.length snap_magic in
-      let len = String.length image in
-      if len < mlen + 8 || String.sub image 0 mlen <> snap_magic then
-        Stdlib.Error (Corrupt { offset = 0; reason = "bad snapshot magic" })
-      else
-        let plen = get_u32 image mlen in
-        let crc = get_u32 image (mlen + 4) in
-        if plen > max_record_len then
-          Stdlib.Error
-            (Corrupt { offset = mlen; reason = "absurd snapshot length" })
-        else if len <> mlen + 8 + plen then
-          Stdlib.Error
-            (Corrupt
-               {
-                 offset = mlen;
-                 reason =
-                   Printf.sprintf "snapshot is %d bytes, header promises %d"
-                     len (mlen + 8 + plen);
-               })
-        else
-          let payload = String.sub image (mlen + 8) plen in
-          if crc32 payload <> crc then
-            Stdlib.Error
-              (Corrupt { offset = mlen; reason = "snapshot CRC mismatch" })
-          else Ok payload
 
 (* ---------- binary encoding helpers ---------- *)
 

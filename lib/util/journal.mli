@@ -24,11 +24,6 @@
     resuming reader simply recomputes.  A process kill loses nothing
     already [write(2)]-ten.
 
-    Small configuration-sized blobs use {!write_snapshot} instead: the
-    whole payload is written to a temp file, fsynced, and atomically
-    renamed over the target, so readers observe either the old or the new
-    snapshot, never a mix.
-
     Trace counters: [journal.records] (records appended),
     [journal.bytes_fsynced], [journal.recover_complete] /
     [journal.recover_torn] (recovery outcomes). *)
@@ -136,20 +131,6 @@ val recover : string -> (recovered, error) result
 val recover_string : string -> (recovered, error) result
 (** {!recover} over an in-memory image — lets fuzz tests truncate at
     every byte offset without touching the filesystem. *)
-
-(** {1 Snapshots} *)
-
-val write_snapshot : ?wrap_io:(io -> io) -> string -> string -> unit
-(** [write_snapshot path payload] durably replaces [path] with a
-    CRC-framed copy of [payload]: temp file in the same directory, fsync,
-    atomic [rename(2)], best-effort directory sync.  On any failure the
-    temp file is removed and [path] is untouched.  @raise Error *)
-
-val read_snapshot : string -> (string, error) result
-(** The payload of a snapshot file.  A torn or trailing-garbage snapshot
-    is [Corrupt] — unlike journal tails, snapshots are atomic by
-    construction, so a partial one at the final path can only be
-    corruption. *)
 
 (** {1 Binary encoding helpers}
 

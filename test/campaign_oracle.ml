@@ -2,12 +2,14 @@
    [Campaign.run] against: a plain loop over every trial, one at a time,
    with no Pool, no shards and no bit-parallel lanes.  Trial [g] (row-major
    over the fault counts) draws from [Rng.derive seed g] and is scored by
-   scanning the suite with [Simulator.detects_h] until the first vector
-   that detects it. *)
+   scanning the suite with [detects] until the first vector that detects
+   it.  [detects] defaults to the compiled [Simulator.detects_h]; pass
+   [Graph_oracle.detects] to score with the reference BFS instead. *)
 
 open Fpva_sim
 
-let row ~h ~vectors (config : Campaign.config) ~row_index ~fault_count =
+let row ~detects fpva ~vectors (config : Campaign.config) ~row_index
+    ~fault_count =
   let detected = ref 0 and latency_sum = ref 0 and escapes = ref [] in
   let short_draws = ref 0 and void_draws = ref 0 in
   for i = 0 to config.Campaign.trials - 1 do
@@ -15,8 +17,7 @@ let row ~h ~vectors (config : Campaign.config) ~row_index ~fault_count =
     let faults =
       Campaign.draw_faults
         (Fpva_util.Rng.derive config.Campaign.seed g)
-        (Simulator.handle_fpva h) ~classes:config.Campaign.classes
-        ~count:fault_count
+        fpva ~classes:config.Campaign.classes ~count:fault_count
     in
     if List.length faults < fault_count then incr short_draws;
     if faults = [] then incr void_draws
@@ -24,7 +25,7 @@ let row ~h ~vectors (config : Campaign.config) ~row_index ~fault_count =
       let rec first k = function
         | [] -> None
         | v :: rest ->
-          if Simulator.detects_h h ~faults v then Some k else first (k + 1) rest
+          if detects ~faults v then Some k else first (k + 1) rest
       in
       match first 1 vectors with
       | Some k ->
@@ -43,9 +44,13 @@ let row ~h ~vectors (config : Campaign.config) ~row_index ~fault_count =
       (if !detected = 0 then nan
        else float_of_int !latency_sum /. float_of_int !detected) }
 
-let rows fpva ~vectors (config : Campaign.config) =
-  let h = Simulator.make fpva in
+let rows ?detects fpva ~vectors (config : Campaign.config) =
+  let detects =
+    match detects with
+    | Some d -> d
+    | None -> Simulator.detects_h (Simulator.make fpva)
+  in
   List.mapi
     (fun row_index fault_count ->
-      row ~h ~vectors config ~row_index ~fault_count)
+      row ~detects fpva ~vectors config ~row_index ~fault_count)
     config.Campaign.fault_counts

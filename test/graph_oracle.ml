@@ -1,0 +1,103 @@
+(* Reference implementation of [Graph]'s traversals: the direct
+   node-by-node breadth-first walk the compiled CSR form replaced, kept as a
+   test oracle.  Every visit re-derives a cell's neighbours from the layout
+   (a fresh list, plus a rescan of the ports), the visited sets are plain
+   bool arrays, and nothing stops early.  Edge predicates are consulted on
+   valve edges only: open channels always pass and walls never do, as in
+   the compiled path.  BFS computes a reachability set, so the compiled
+   traversals must give exactly the same answers. *)
+
+open Fpva_grid
+
+let cell_neighbors t ~open_edge c =
+  let step acc d =
+    let n = Coord.move c d in
+    if Fpva.in_bounds t n && Fpva.cell_state t n = Fpva.Fluid then begin
+      let e = Coord.edge_towards c d in
+      match Fpva.edge_state t e with
+      | Fpva.Wall -> acc
+      | Fpva.Open_channel -> Graph.Cell n :: acc
+      | Fpva.Valve -> if open_edge e then Graph.Cell n :: acc else acc
+    end
+    else acc
+  in
+  List.fold_left step [] Coord.all_dirs
+
+let ports_of_cell t ports c =
+  let out = ref [] in
+  Array.iteri
+    (fun i p -> if Fpva.port_cell t p = c then out := Graph.Port i :: !out)
+    ports;
+  !out
+
+(* Exhaustive BFS from [from]; returns the visited cells (row-major) and
+   ports. *)
+let bfs t ~open_edge ~from =
+  let nc = Fpva.cols t in
+  let ports = Fpva.ports t in
+  let seen_cell = Array.make (Fpva.rows t * nc) false in
+  let seen_port = Array.make (max (Array.length ports) 1) false in
+  let mark = function
+    | Graph.Cell c ->
+      let i = (c.Coord.row * nc) + c.Coord.col in
+      let was = seen_cell.(i) in
+      seen_cell.(i) <- true;
+      was
+    | Graph.Port i ->
+      let was = seen_port.(i) in
+      seen_port.(i) <- true;
+      was
+  in
+  let neighbors = function
+    | Graph.Port i -> [ Graph.Cell (Fpva.port_cell t ports.(i)) ]
+    | Graph.Cell c -> cell_neighbors t ~open_edge c @ ports_of_cell t ports c
+  in
+  let queue = Queue.create () in
+  List.iter (fun n -> if not (mark n) then Queue.add n queue) from;
+  while not (Queue.is_empty queue) do
+    List.iter
+      (fun m -> if not (mark m) then Queue.add m queue)
+      (neighbors (Queue.pop queue))
+  done;
+  (seen_cell, seen_port)
+
+let reachable t ~open_edge ~from n =
+  let seen_cell, seen_port = bfs t ~open_edge ~from in
+  match n with
+  | Graph.Cell c -> seen_cell.((c.Coord.row * Fpva.cols t) + c.Coord.col)
+  | Graph.Port i -> seen_port.(i)
+
+let source_nodes t =
+  let out = ref [] in
+  Array.iteri
+    (fun i p -> if p.Fpva.kind = Fpva.Source then out := Graph.Port i :: !out)
+    (Fpva.ports t);
+  !out
+
+let pressurized_sinks t ~open_edge =
+  let _, seen_port = bfs t ~open_edge ~from:(source_nodes t) in
+  Array.sub seen_port 0 (Array.length (Fpva.ports t))
+
+let separates t ~closed_edge =
+  let pressure = pressurized_sinks t ~open_edge:(fun e -> not (closed_edge e)) in
+  let ok = ref true in
+  Array.iteri
+    (fun i p -> if p.Fpva.kind = Fpva.Sink && pressure.(i) then ok := false)
+    (Fpva.ports t);
+  !ok
+
+(* Does vector [v] detect [faults]?  The simulator's effective valve states
+   under the faults, walked by the reference BFS above instead of the
+   compiled one. *)
+let detects t ~faults (v : Fpva_testgen.Test_vector.t) =
+  let states =
+    Fpva_sim.Simulator.effective_states t ~faults
+      ~open_valves:v.Fpva_testgen.Test_vector.open_valves
+  in
+  let observed =
+    pressurized_sinks t ~open_edge:(fun e ->
+        match Fpva.valve_id_opt t e with
+        | Some vid -> states.(vid)
+        | None -> true)
+  in
+  observed <> v.Fpva_testgen.Test_vector.golden

@@ -142,7 +142,7 @@ let traversal_tests =
         List.iter
           (fun (target, open_edge) ->
             checkb "wrapper agrees with spec"
-              (Graph.reachable_spec t ~open_edge ~from target)
+              (Graph_oracle.reachable t ~open_edge ~from target)
               (Graph.reachable t ~open_edge ~from target))
           [ (Graph.Cell (Coord.cell 2 3), fun _ -> true);
             (Graph.Cell (Coord.cell 2 3), fun _ -> false);
@@ -176,7 +176,7 @@ let traversal_tests =
           | Some v -> mask.(v)
           | None -> false
         in
-        checkb "spec separates" true (Graph.separates_spec t ~closed_edge);
+        checkb "spec separates" true (Graph_oracle.separates t ~closed_edge);
         checkb "compiled separates" true
           (Graph.separates_c comp
              (Compiled.create_scratch comp)

@@ -339,25 +339,12 @@ let compaction_tests =
         let r = Compaction.compaction_ratio suite.Pipeline.vectors compacted in
         checkb "0 < r <= 1" true (r > 0.0 && r <= 1.0));
     case "detection matrix agrees with the spec simulator" (fun () ->
-        (* detects_matrix now reuses one compiled Simulator handle across
-           all cells; pin it against the uncompiled spec reachability. *)
+        (* detects_matrix reuses one compiled Simulator handle across all
+           cells; pin it against the node-by-node reference walk. *)
         let t = Layouts.paper_array 5 in
         let suite = Pipeline.run_exn t in
         let vectors = suite.Pipeline.vectors in
         let faults = Diagnosis.single_faults t in
-        let detects_spec (v : Test_vector.t) f =
-          let states =
-            Simulator.effective_states t ~faults:[ f ]
-              ~open_valves:v.Test_vector.open_valves
-          in
-          let obs =
-            Graph.pressurized_sinks_spec t ~open_edge:(fun e ->
-                match Fpva.valve_id_opt t e with
-                | Some vid -> states.(vid)
-                | None -> true)
-          in
-          obs <> v.Test_vector.golden
-        in
         let m = Compaction.detects_matrix t ~vectors ~faults in
         List.iteri
           (fun i v ->
@@ -365,7 +352,7 @@ let compaction_tests =
               (fun j f ->
                 checkb
                   (Printf.sprintf "cell (%d,%d)" i j)
-                  (detects_spec v f) m.(i).(j))
+                  (Graph_oracle.detects t ~faults:[ f ] v) m.(i).(j))
               faults)
           vectors);
   ]

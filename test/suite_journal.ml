@@ -239,33 +239,6 @@ let corruption_tests =
               Alcotest.fail "opened a corrupt journal"));
   ]
 
-(* ---------- snapshots ---------- *)
-
-let snapshot_tests =
-  [
-    case "snapshot write/read round-trips and overwrites atomically"
-      (fun () ->
-        with_tmp (fun path ->
-            Journal.write_snapshot path "first version";
-            check Alcotest.string "first" "first version"
-              (ok_or_fail "read" (Journal.read_snapshot path));
-            Journal.write_snapshot path "second version";
-            check Alcotest.string "second" "second version"
-              (ok_or_fail "read" (Journal.read_snapshot path));
-            checkb "no tmp litter" false (Sys.file_exists (path ^ ".tmp"))));
-    case "a truncated snapshot is Corrupt" (fun () ->
-        with_tmp (fun path ->
-            Journal.write_snapshot path "some payload bytes";
-            let full = read_file path in
-            write_file path (String.sub full 0 (String.length full - 2));
-            expect_corrupt "truncated" (Journal.read_snapshot path)));
-    case "a snapshot with trailing garbage is Corrupt" (fun () ->
-        with_tmp (fun path ->
-            Journal.write_snapshot path "payload";
-            write_file path (read_file path ^ "zz");
-            expect_corrupt "trailing" (Journal.read_snapshot path)));
-  ]
-
 (* ---------- chaos I/O faults ---------- *)
 
 let chaos_tests =
@@ -371,5 +344,5 @@ let encdec_tests =
   ]
 
 let tests =
-  roundtrip_tests @ torn_tests @ corruption_tests @ snapshot_tests
+  roundtrip_tests @ torn_tests @ corruption_tests
   @ chaos_tests @ encdec_tests

@@ -4,7 +4,6 @@ open Helpers
 module Lp = Fpva_milp.Lp
 module Simplex = Fpva_milp.Simplex
 module Bb = Fpva_milp.Branch_bound
-module Lp_io = Fpva_milp.Lp_io
 
 let solve_expect_opt lp =
   match Simplex.solve lp with
@@ -58,23 +57,6 @@ let lp_tests =
         Lp.set_objective lp ~constant:10.0 [ (2.0, x) ];
         check (Alcotest.float 1e-12) "value" 16.0
           (Lp.objective_value lp [| 3.0 |]));
-    case "lp_io renders sections" (fun () ->
-        let lp = Lp.create Lp.Maximize in
-        let x = Lp.add_var lp ~name:"x" Lp.Binary in
-        Lp.add_constr lp [ (1.0, x) ] Lp.Le 1.0;
-        Lp.set_objective lp [ (1.0, x) ];
-        let s = Lp_io.to_string lp in
-        let contains part =
-          let lp = String.length part and ls = String.length s in
-          let rec scan i =
-            i + lp <= ls && (String.sub s i lp = part || scan (i + 1))
-          in
-          scan 0
-        in
-        List.iter
-          (fun part ->
-            checkb (Printf.sprintf "contains %s" part) true (contains part))
-          [ "Maximize"; "Subject To"; "Bounds"; "Binary"; "End" ]);
   ]
 
 (* ---------- Simplex on known problems ---------- *)
@@ -431,101 +413,5 @@ let bb_tests =
         | Bb.Unbounded, _ -> false);
   ]
 
-(* ---------- LP format round trip ---------- *)
-
-module Lp_parse = Fpva_milp.Lp_parse
-
-let same_optimum lp1 lp2 =
-  let solve lp =
-    match Bb.solve lp with
-    | Bb.Optimal s -> Some s.Simplex.objective
-    | Bb.Infeasible -> None
-    | Bb.Feasible _ | Bb.Unbounded | Bb.Unknown -> Some nan
-  in
-  match (solve lp1, solve lp2) with
-  | Some a, Some b -> abs_float (a -. b) < 1e-6
-  | None, None -> true
-  | Some _, None | None, Some _ -> false
-
-let parse_tests =
-  [
-    case "parses a hand-written model" (fun () ->
-        let text =
-          String.concat "\n"
-            [ "Minimize"; " obj: 2 x + y"; "Subject To"; " c0: x + y >= 3";
-              " c1: x - y = 1"; "Bounds"; " 0 <= x <= 10"; " 0 <= y <= 10";
-              "End" ]
-        in
-        match Lp_parse.parse text with
-        | Ok lp ->
-          checki "vars" 2 (Lp.num_vars lp);
-          checki "constrs" 2 (Lp.num_constrs lp);
-          (match Simplex.solve lp with
-          | Simplex.Optimal s ->
-            check (Alcotest.float 1e-6) "obj" 5.0 s.Simplex.objective
-          | _ -> Alcotest.fail "solve failed")
-        | Error msg -> Alcotest.failf "parse failed: %s" msg);
-    case "binary and general sections" (fun () ->
-        let text =
-          "Maximize\n obj: a + 2 b + c\nSubject To\n c0: a + b + c <= 2\n\
-           Bounds\n 0 <= c <= 5\nGeneral\n c\nBinary\n a\n b\nEnd\n"
-        in
-        match Lp_parse.parse text with
-        | Ok lp ->
-          let kind name =
-            let rec find j =
-              if Lp.var_name lp (Lp.var_of_index lp j) = name then
-                Lp.var_kind lp (Lp.var_of_index lp j)
-              else find (j + 1)
-            in
-            find 0
-          in
-          checkb "a binary" true (kind "a" = Lp.Binary);
-          checkb "c integer" true (kind "c" = Lp.Integer)
-        | Error msg -> Alcotest.failf "parse failed: %s" msg);
-    case "round-trips Lp_io output" (fun () ->
-        let lp = Lp.create Lp.Maximize in
-        let x = Lp.add_var lp ~name:"x" ~upper:4.0 Lp.Continuous in
-        let y = Lp.add_var lp ~name:"y" Lp.Binary in
-        let z = Lp.add_var lp ~name:"z" ~lower:(-2.0) ~upper:7.0 Lp.Integer in
-        Lp.add_constr lp [ (1.0, x); (2.0, y); (-1.0, z) ] Lp.Le 5.0;
-        Lp.add_constr lp [ (1.0, x); (1.0, z) ] Lp.Ge 1.0;
-        Lp.set_objective lp [ (3.0, x); (1.0, y); (2.0, z) ];
-        let text = Fpva_milp.Lp_io.to_string lp in
-        (match Lp_parse.parse text with
-        | Ok lp' ->
-          checki "vars" (Lp.num_vars lp) (Lp.num_vars lp');
-          checki "constrs" (Lp.num_constrs lp) (Lp.num_constrs lp');
-          checkb "same optimum" true (same_optimum lp lp')
-        | Error msg -> Alcotest.failf "round trip failed: %s" msg));
-    case "round-trips a generated path model" (fun () ->
-        let t = small_full_layout 2 3 in
-        let prob, _ = Fpva_testgen.Flow_path.problem t in
-        let weight =
-          Array.map (fun r -> if r then 1.0 else 0.0)
-            prob.Fpva_testgen.Problem.required
-        in
-        let lp = Fpva_testgen.Path_ilp.single_path_lp prob ~weight in
-        let text = Fpva_milp.Lp_io.to_string lp in
-        match Lp_parse.parse text with
-        | Ok lp' ->
-          checki "vars" (Lp.num_vars lp) (Lp.num_vars lp');
-          checkb "same optimum" true (same_optimum lp lp')
-        | Error msg -> Alcotest.failf "round trip failed: %s" msg);
-    case "rejects malformed input" (fun () ->
-        List.iter
-          (fun text ->
-            checkb "rejected" true
-              (match Lp_parse.parse text with Error _ -> true | Ok _ -> false))
-          [ ""; "Subject To\n x <= 1\nEnd"; "Minimize\n obj: ?\nEnd" ]);
-    qcheck ~count:100 "random model round trip preserves the optimum"
-      random_ilp_gen
-      (fun spec ->
-        let lp = build_random_ilp spec in
-        match Lp_parse.parse (Fpva_milp.Lp_io.to_string lp) with
-        | Ok lp' -> same_optimum lp lp'
-        | Error _ -> false);
-  ]
-
 let tests =
-  lp_tests @ simplex_tests @ random_lp_tests @ bb_tests @ parse_tests
+  lp_tests @ simplex_tests @ random_lp_tests @ bb_tests

@@ -352,6 +352,59 @@ let oracle_tests =
         && part.Campaign.truncated = List.filteri (fun i _ -> i >= n) counts);
   ]
 
+(* The compiled campaign against the node-by-node reference walk: the
+   per-trial oracle scoring each vector with [Graph_oracle.detects] (the
+   simulator's effective states, reference BFS) must reproduce whole rows,
+   escapes and latencies included, of the batched run on the 8x8. *)
+let reference_bfs_tests =
+  [
+    case "8x8 rows match the reference-BFS oracle at jobs 1 and 2" (fun () ->
+        let t = Layouts.paper_array 8 in
+        let vectors = (Pipeline.run_exn t).Pipeline.vectors in
+        let config = { Campaign.default_config with Campaign.trials = 50 } in
+        let reference =
+          Campaign_oracle.rows ~detects:(Graph_oracle.detects t) t ~vectors
+            config
+        in
+        List.iter
+          (fun jobs ->
+            checkb
+              (Printf.sprintf "jobs=%d" jobs)
+              true
+              (rows_eq reference
+                 (Campaign.run ~config ~jobs t ~vectors).Campaign.rows))
+          [ 1; 2 ]);
+  ]
+
+(* [Pipeline.suite_ok] traverses through the layout's shared compilation
+   ([Dual.is_cut], [Test_vector.golden_response], the [Graph] wrappers), as
+   the serve daemon's workers do on every generate reply.  Two domains
+   checking one suite at once must each get their own BFS buffers.  A call
+   takes about 0.1 ms, so each domain makes 1000 of them, starting together
+   once both run: with one shared scratch this failed 6-13 of the 2000
+   calls in each of ten runs. *)
+let concurrency_tests =
+  [
+    case "two domains run suite_ok on one 10x10 result" (fun () ->
+        let r = Pipeline.run_exn (Layouts.paper_array 10) in
+        checkb "sequential" true (Pipeline.suite_ok r);
+        let ready = Atomic.make 0 in
+        let worker () =
+          Atomic.incr ready;
+          while Atomic.get ready < 2 do Domain.cpu_relax () done;
+          let failed = ref 0 in
+          for _ = 1 to 1000 do
+            match Pipeline.suite_ok r with
+            | true -> ()
+            | false | (exception _) -> incr failed
+          done;
+          !failed
+        in
+        let other = Domain.spawn worker in
+        let here = worker () in
+        checki "failed calls" 0 (here + Domain.join other));
+  ]
+
 let tests =
   jobs_parity_tests @ validation_tests @ diagnosis_tests @ pool_failure_tests
-  @ budget_tests @ oracle_tests
+  @ budget_tests @ oracle_tests @ reference_bfs_tests @ concurrency_tests

@@ -29,7 +29,7 @@ let tests =
         for _ = 1 to 8 do
           let mask, edge_open = random_valve_mask rng t in
           let legacy =
-            Graph.pressurized_sinks_spec t ~open_edge:edge_open
+            Graph_oracle.pressurized_sinks t ~open_edge:edge_open
           in
           let compiled =
             Graph.pressurized_sinks_c comp scratch
@@ -45,7 +45,7 @@ let tests =
         let ok = ref true in
         for _ = 1 to 8 do
           let mask, edge_closed = random_valve_mask rng t in
-          let legacy = Graph.separates_spec t ~closed_edge:edge_closed in
+          let legacy = Graph_oracle.separates t ~closed_edge:edge_closed in
           let compiled =
             Graph.separates_c comp scratch ~closed_valve:(fun v -> mask.(v))
           in
@@ -64,7 +64,7 @@ let tests =
           let mask, edge_open = random_valve_mask rng t in
           let target = Graph.Port (Fpva_util.Rng.int rng num_ports) in
           let legacy =
-            Graph.reachable_spec t ~open_edge:edge_open ~from target
+            Graph_oracle.reachable t ~open_edge:edge_open ~from target
           in
           let compiled =
             Graph.reachable_c comp scratch
