@@ -51,6 +51,8 @@ let guard_internal run =
 
 let make_layout name rows cols =
   match name with
+  | ("full" | "paper") when rows < 1 || cols < 1 ->
+    Error "--rows and --cols must be >= 1"
   | "full" -> Ok (Layouts.full ~rows ~cols)
   | "paper" ->
     if rows <> cols then Error "paper layout requires a square array"
@@ -74,7 +76,7 @@ let load_layout_file path =
   | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
 
 let layout_t =
-  let doc = "Layout family: full | paper | figure9." in
+  let doc = "Layout family: full | paper | figure8 | figure9." in
   Arg.(value & opt string "paper" & info [ "layout" ] ~docv:"NAME" ~doc)
 
 let rows_t =
@@ -151,6 +153,10 @@ let render_t =
   Arg.(value & flag & info [ "render" ] ~doc)
 
 let config_of ?(routing = "fluid") ~direct ~block ~no_leak () =
+  if block < 1 then begin
+    prerr_endline "error: --block must be >= 1";
+    exit 2
+  end;
   { Pipeline.default_config with
     Pipeline.hierarchical = not direct;
     block_rows = block;
@@ -174,6 +180,13 @@ let time_limit_t =
              partial suite is reported with its degradation." in
   Arg.(
     value & opt (some float) None & info [ "time-limit" ] ~docv:"SECONDS" ~doc)
+
+let budget_of = function
+  | None -> Budget.unlimited
+  | Some s when Float.is_nan s ->
+    prerr_endline "error: --time-limit must be a number";
+    exit 2
+  | Some s -> Budget.of_seconds s
 
 let strict_t =
   let doc = "Exit with status 3 when the result degraded: generation fell \
@@ -225,11 +238,7 @@ let generate_cmd =
     guard_internal @@ fun () ->
     let fpva = resolve_layout ~file name rows cols in
     let config = config_of ~routing ~direct ~block ~no_leak () in
-    let budget =
-      match time_limit with
-      | Some s -> Budget.of_seconds s
-      | None -> Budget.unlimited
-    in
+    let budget = budget_of time_limit in
     let strict_failure =
       with_observability ~trace ~metrics (fun () ->
           let result =
@@ -426,7 +435,7 @@ let campaign_cmd =
       prerr_endline "error: --max-faults must be >= 1";
       exit 2
     end;
-    if noise < 0.0 || noise > 1.0 then begin
+    if not (noise >= 0.0 && noise <= 1.0) then begin
       prerr_endline "error: --noise must be in [0,1]";
       exit 2
     end;
@@ -439,11 +448,7 @@ let campaign_cmd =
       exit exit_invalid
     end;
     let jobs = resolve_jobs jobs in
-    let budget =
-      match time_limit with
-      | Some s -> Budget.of_seconds s
-      | None -> Budget.unlimited
-    in
+    let budget = budget_of time_limit in
     let truncated =
       with_observability ~trace ~metrics (fun () ->
           let result = Pipeline.run_exn ~config fpva in
@@ -557,7 +562,7 @@ let diagnose_cmd =
     guard_internal @@ fun () ->
     let fpva = resolve_layout ~file name rows cols in
     let config = config_of ~direct ~block ~no_leak () in
-    if noise < 0.0 || noise >= 1.0 then begin
+    if not (noise >= 0.0 && noise < 1.0) then begin
       prerr_endline "error: --noise must be in [0,1)";
       exit 2
     end;

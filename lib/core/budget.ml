@@ -4,12 +4,10 @@ module Bb = Fpva_milp.Branch_bound
 type t = {
   deadline : float;  (* absolute; infinity = unlimited *)
   allotted : float;  (* seconds granted at creation/share time *)
-  started : float;
   nodes : int option;  (* per-solve node cap *)
 }
 
-let unlimited =
-  { deadline = infinity; allotted = infinity; started = 0.0; nodes = None }
+let unlimited = { deadline = infinity; allotted = infinity; nodes = None }
 
 let create ?seconds ?nodes () =
   match (seconds, nodes) with
@@ -18,7 +16,7 @@ let create ?seconds ?nodes () =
     let now = Timer.now () in
     let allotted = Option.value seconds ~default:infinity in
     let deadline = if allotted = infinity then infinity else now +. allotted in
-    { deadline; allotted; started = now; nodes }
+    { deadline; allotted; nodes }
 
 let of_seconds s = create ~seconds:s ()
 
@@ -30,8 +28,6 @@ let remaining t =
 
 let allotted t = t.allotted
 
-let consumed t = if t.deadline = infinity then 0.0 else Timer.now () -. t.started
-
 let exhausted t = remaining t <= 0.0
 
 let share t f =
@@ -42,11 +38,8 @@ let share t f =
     let slice = rem *. (max 0.0 (min 1.0 f)) in
     { deadline = min t.deadline (now +. slice);
       allotted = slice;
-      started = now;
       nodes = t.nodes }
   end
-
-let node_limit t = t.nodes
 
 let clamp_bb t (o : Bb.options) =
   let time_limit = min o.Bb.time_limit (remaining t) in

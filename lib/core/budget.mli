@@ -30,9 +30,6 @@ val remaining : t -> float
 val allotted : t -> float
 (** Seconds this budget was created (or {!share}d) with. *)
 
-val consumed : t -> float
-(** Seconds elapsed since this budget was created; [0.] when unlimited. *)
-
 val exhausted : t -> bool
 (** [remaining t = 0.] — stages poll this between solver calls. *)
 
@@ -43,10 +40,8 @@ val share : t -> float -> t
     slice while letting an early finisher's unused time roll over to the
     stages after it.  A share of {!unlimited} is unlimited. *)
 
-val node_limit : t -> int option
-
 val clamp_bb :
   t -> Fpva_milp.Branch_bound.options -> Fpva_milp.Branch_bound.options
 (** Tighten solver options to the budget: [time_limit] becomes at most
-    {!remaining} and [max_nodes] at most {!node_limit}.  The identity on
-    {!unlimited}. *)
+    {!remaining} and [max_nodes] at most the [nodes] cap of {!create}.  The
+    identity on {!unlimited}. *)

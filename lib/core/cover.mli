@@ -16,7 +16,7 @@
 type single_path = Problem.t -> weight:float array -> Problem.path option
 (** A pluggable single-path engine: best admissible path for the weights,
     or [None].  Used for test harnesses (fault injection — see
-    [Fpva_sim.Chaos]) and alternative backends. *)
+    [test/chaos.ml]) and alternative backends. *)
 
 type engine =
   | Search of Path_search.params  (** combinatorial DFS ({!Path_search}) *)

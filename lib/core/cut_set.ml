@@ -113,7 +113,7 @@ let problems ?(anti_masking = true) fpva =
       let starts = Array.of_list (List.map node_of_corner arc_a) in
       let ends = Array.of_list (List.map node_of_corner arc_b) in
       let prob =
-        Problem.build ~name:"cut" ~num_nodes ~edges:(Vec.to_array edges)
+        Problem.build ~num_nodes ~edges:(Vec.to_array edges)
           ~required:(Vec.to_array required)
           ~pair_constrained:(Vec.to_array pairc) ~terminal ~starts ~ends ()
       in

@@ -138,7 +138,7 @@ let problem ?(forbidden_valves = []) fpva =
       | Fpva.Sink -> Vec.push ends (node_of_port i))
     ports;
   let prob =
-    Problem.build ~name:"flow" ~num_nodes ~edges:(Vec.to_array edges)
+    Problem.build ~num_nodes ~edges:(Vec.to_array edges)
       ~required:(Vec.to_array required) ~terminal
       ~starts:(Vec.to_array starts) ~ends:(Vec.to_array ends) ()
   in

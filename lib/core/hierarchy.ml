@@ -102,7 +102,7 @@ let top_problem options fpva =
       | Fpva.Sink -> Vec.push ends (num_blocks + i))
     ports;
   let prob =
-    Problem.build ~name:"top" ~num_nodes ~edges:(Vec.to_array edges)
+    Problem.build ~num_nodes ~edges:(Vec.to_array edges)
       ~required:(Vec.to_array required) ~terminal
       ~starts:(Vec.to_array starts) ~ends:(Vec.to_array ends) ()
   in
@@ -280,7 +280,7 @@ let segment ?budget ?stats options fpva ~need ~block ~entry ~exits =
       let num_edges = Vec.length edges in
       let required = Array.make num_edges false in
       let prob =
-        Problem.build ~name:"segment" ~num_nodes
+        Problem.build ~num_nodes
           ~edges:(Vec.to_array edges) ~required
           ~pair_constrained:(Vec.to_array edge_chan) ~terminal ~starts ~ends
           ()

@@ -13,31 +13,20 @@ let map_arcs (p : Problem.t) n f =
 (* Shared constraint block for one path slot.  [activation] is [None] for the
    single-path model ("the path exists") or [Some p_m] in the joint model
    (the slot may be empty when p_m = 0). *)
-let add_path_block ?(loop_exclusion = true) lp (p : Problem.t) ~tag ~activation =
+let add_path_block ?(loop_exclusion = true) lp (p : Problem.t) ~activation =
   let big_m = float_of_int (p.Problem.num_nodes + 1) in
-  let v =
-    Array.init p.Problem.num_edges (fun e ->
-        Lp.add_var lp ~name:(Printf.sprintf "v%s_%d" tag e) Lp.Binary)
-  in
-  let c =
-    Array.init p.Problem.num_nodes (fun n ->
-        Lp.add_var lp ~name:(Printf.sprintf "c%s_%d" tag n) Lp.Binary)
-  in
+  let v = Array.init p.Problem.num_edges (fun _ -> Lp.add_var lp Lp.Binary) in
+  let c = Array.init p.Problem.num_nodes (fun _ -> Lp.add_var lp Lp.Binary) in
   let f =
-    Array.init p.Problem.num_edges (fun e ->
-        Lp.add_var lp
-          ~name:(Printf.sprintf "f%s_%d" tag e)
-          ~lower:(-.big_m) ~upper:big_m Lp.Continuous)
+    Array.init p.Problem.num_edges (fun _ ->
+        Lp.add_var lp ~lower:(-.big_m) ~upper:big_m Lp.Continuous)
   in
   (* Degree constraints (eq. 1): interior nodes have exactly two incident
      path edges, terminals exactly one. *)
   for n = 0 to p.Problem.num_nodes - 1 do
     let incident = map_arcs p n (fun _ e -> (1.0, v.(e))) in
     let coeff = if p.Problem.terminal.(n) then -1.0 else -2.0 in
-    Lp.add_constr lp
-      ~name:(Printf.sprintf "deg%s_%d" tag n)
-      ((coeff, c.(n)) :: incident)
-      Lp.Eq 0.0
+    Lp.add_constr lp ((coeff, c.(n)) :: incident) Lp.Eq 0.0
   done;
   (* Terminal nodes that are neither start nor end can never be on a path. *)
   for n = 0 to p.Problem.num_nodes - 1 do
@@ -47,14 +36,14 @@ let add_path_block ?(loop_exclusion = true) lp (p : Problem.t) ~tag ~activation 
     then Lp.add_constr lp [ (1.0, c.(n)) ] Lp.Eq 0.0
   done;
   (* Exactly one start and one end (or none, for an inactive slot). *)
-  let endpoint_sum nodes name =
+  let endpoint_sum nodes =
     let terms = Array.to_list (Array.map (fun n -> (1.0, c.(n))) nodes) in
     match activation with
-    | None -> Lp.add_constr lp ~name terms Lp.Eq 1.0
-    | Some pm -> Lp.add_constr lp ~name ((-1.0, pm) :: terms) Lp.Eq 0.0
+    | None -> Lp.add_constr lp terms Lp.Eq 1.0
+    | Some pm -> Lp.add_constr lp ((-1.0, pm) :: terms) Lp.Eq 0.0
   in
-  endpoint_sum p.Problem.starts (Printf.sprintf "start%s" tag);
-  endpoint_sum p.Problem.ends (Printf.sprintf "end%s" tag);
+  endpoint_sum p.Problem.starts;
+  endpoint_sum p.Problem.ends;
   (* Flow activation (eq. 3) and conservation (eq. 4), which exclude the
      disjoint loops of Fig. 6(c); skipped when [loop_exclusion] is off (the
      ablation showing why the paper needs them). *)
@@ -72,10 +61,7 @@ let add_path_block ?(loop_exclusion = true) lp (p : Problem.t) ~tag ~activation 
               let sign = if a = n then -1.0 else 1.0 in
               (sign, f.(e)))
         in
-        Lp.add_constr lp
-          ~name:(Printf.sprintf "flow%s_%d" tag n)
-          ((-1.0, c.(n)) :: terms)
-          Lp.Eq 0.0
+        Lp.add_constr lp ((-1.0, c.(n)) :: terms) Lp.Eq 0.0
       end
     done
   end;
@@ -83,10 +69,7 @@ let add_path_block ?(loop_exclusion = true) lp (p : Problem.t) ~tag ~activation 
   for e = 0 to p.Problem.num_edges - 1 do
     if p.Problem.pair_constrained.(e) then begin
       let a, b = p.Problem.edge_ends.(e) in
-      Lp.add_constr lp
-        ~name:(Printf.sprintf "mask%s_%d" tag e)
-        [ (1.0, c.(a)); (1.0, c.(b)); (-1.0, v.(e)) ]
-        Lp.Le 1.0
+      Lp.add_constr lp [ (1.0, c.(a)); (1.0, c.(b)); (-1.0, v.(e)) ] Lp.Le 1.0
     end
   done;
   (* An active slot in the joint model must not exceed its indicator:
@@ -125,8 +108,8 @@ let decode (p : Problem.t) used_edge node_on =
     (match Problem.path_ok p path with Ok () -> Some path | Error _ -> None)
 
 let single_path_lp ?loop_exclusion (p : Problem.t) ~weight =
-  let lp = Lp.create ~name:(p.Problem.name ^ "_single") Lp.Maximize in
-  let v, _, _ = add_path_block ?loop_exclusion lp p ~tag:"" ~activation:None in
+  let lp = Lp.create Lp.Maximize in
+  let v, _, _ = add_path_block ?loop_exclusion lp p ~activation:None in
   (* Tiny per-edge penalty prefers the shortest among equal-coverage paths. *)
   let eps = 1e-3 /. float_of_int (p.Problem.num_edges + 1) in
   let obj =
@@ -163,15 +146,11 @@ let find ?bb_options ?loop_exclusion (p : Problem.t) ~weight =
 
 let minimum_cover ?bb_options (p : Problem.t) ~max_paths =
   if max_paths < 1 then invalid_arg "Path_ilp.minimum_cover";
-  let lp = Lp.create ~name:(p.Problem.name ^ "_cover") Lp.Minimize in
-  let pm =
-    Array.init max_paths (fun m ->
-        Lp.add_var lp ~name:(Printf.sprintf "p_%d" m) Lp.Binary)
-  in
+  let lp = Lp.create Lp.Minimize in
+  let pm = Array.init max_paths (fun _ -> Lp.add_var lp Lp.Binary) in
   let blocks =
     Array.init max_paths (fun m ->
-        add_path_block lp p ~tag:(Printf.sprintf "_%d" m)
-          ~activation:(Some pm.(m)))
+        add_path_block lp p ~activation:(Some pm.(m)))
   in
   (* Coverage (eq. 2). *)
   for e = 0 to p.Problem.num_edges - 1 do
@@ -179,7 +158,7 @@ let minimum_cover ?bb_options (p : Problem.t) ~max_paths =
       let terms =
         Array.to_list (Array.map (fun (v, _, _) -> (1.0, v.(e))) blocks)
       in
-      Lp.add_constr lp ~name:(Printf.sprintf "cover_%d" e) terms Lp.Ge 1.0
+      Lp.add_constr lp terms Lp.Ge 1.0
     end
   done;
   (* Symmetry breaking: used slots come first. *)

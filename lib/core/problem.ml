@@ -1,5 +1,4 @@
 type t = {
-  name : string;
   num_nodes : int;
   num_edges : int;
   adj_off : int array;
@@ -13,7 +12,7 @@ type t = {
   ends : int array;
 }
 
-let build ~name ~num_nodes ~edges ~required ?pair_constrained ?terminal
+let build ~num_nodes ~edges ~required ?pair_constrained ?terminal
     ~starts ~ends () =
   let num_edges = Array.length edges in
   if Array.length required <> num_edges then
@@ -67,7 +66,7 @@ let build ~name ~num_nodes ~edges ~required ?pair_constrained ?terminal
     push a b e;
     push b a e
   done;
-  { name; num_nodes; num_edges; adj_off; adj_node; adj_edge; edge_ends = edges;
+  { num_nodes; num_edges; adj_off; adj_node; adj_edge; edge_ends = edges;
     required; pair_constrained; terminal; starts; ends }
 
 let num_required t =

@@ -6,12 +6,11 @@
     {e find simple paths from a start node to an end node that cover all
     required edges, as few paths as possible.}
 
-    This module is the shared instance description consumed by the two
+    This module is the shared instance description read by the two
     engines, {!Path_search} (combinatorial) and {!Path_ilp} (the paper's ILP
     formulation solved by {!Fpva_milp.Branch_bound}). *)
 
 type t = private {
-  name : string;
   num_nodes : int;
   num_edges : int;
   adj_off : int array;
@@ -33,7 +32,6 @@ type t = private {
 }
 
 val build :
-  name:string ->
   num_nodes:int ->
   edges:(int * int) array ->
   required:bool array ->

@@ -1,7 +1,5 @@
 type policy = { max_reads : int }
 
-let default_policy = { max_reads = 1 }
-
 let policy max_reads =
   if max_reads < 1 then invalid_arg "Retest.policy: max_reads must be >= 1";
   { max_reads }

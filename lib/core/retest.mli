@@ -19,9 +19,6 @@ type policy = { max_reads : int }
 (** Per-vector read budget [k >= 1].  Reads stop early once one side holds
     a strict majority of [k]. *)
 
-val default_policy : policy
-(** Single read — the paper's ideal-observation behaviour. *)
-
 val policy : int -> policy
 (** @raise Invalid_argument if the budget is < 1. *)
 

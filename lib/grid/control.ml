@@ -81,5 +81,3 @@ let leak_pairs fpva routing =
   | Fluid_adjacency -> Array.of_list (fluid_pairs fpva)
   | Row_manifold | Column_manifold ->
     Array.of_list (manifold_pairs fpva routing)
-
-let pair_count fpva routing = Array.length (leak_pairs fpva routing)

@@ -32,5 +32,3 @@ val leak_pairs : Fpva.t -> routing -> (int * int) array
 (** All ordered (aggressor, victim) pairs whose control channels can leak
     into each other under the given routing.  Symmetric: [(a,b)] present
     iff [(b,a)] present. *)
-
-val pair_count : Fpva.t -> routing -> int

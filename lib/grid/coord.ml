@@ -40,12 +40,6 @@ let edge_towards c = function
 let compare_cell a b =
   match compare a.row b.row with 0 -> compare a.col b.col | n -> n
 
-let compare_edge a b =
-  match (a, b) with
-  | E _, S _ -> -1
-  | S _, E _ -> 1
-  | E x, E y | S x, S y -> compare_cell x y
-
 let pp_cell ppf c = Format.fprintf ppf "(%d,%d)" c.row c.col
 
 let pp_edge ppf = function
@@ -53,5 +47,3 @@ let pp_edge ppf = function
   | S c -> Format.fprintf ppf "S%a" pp_cell c
 
 let cell_to_string c = Format.asprintf "%a" pp_cell c
-
-let edge_to_string e = Format.asprintf "%a" pp_edge e

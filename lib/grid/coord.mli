@@ -38,12 +38,8 @@ val edge_towards : cell -> dir -> edge
 
 val compare_cell : cell -> cell -> int
 
-val compare_edge : edge -> edge -> int
-
 val pp_cell : Format.formatter -> cell -> unit
 
 val pp_edge : Format.formatter -> edge -> unit
 
 val cell_to_string : cell -> string
-
-val edge_to_string : edge -> string

@@ -5,8 +5,6 @@ let corner ci cj = { ci; cj }
 let compare_corner a b =
   match compare a.ci b.ci with 0 -> compare a.cj b.cj | n -> n
 
-let pp_corner ppf c = Format.fprintf ppf "<%d,%d>" c.ci c.cj
-
 let corner_in_bounds t c =
   c.ci >= 0 && c.ci <= Fpva.rows t && c.cj >= 0 && c.cj <= Fpva.cols t
 

@@ -20,8 +20,6 @@ val corner : int -> int -> corner
 
 val compare_corner : corner -> corner -> int
 
-val pp_corner : Format.formatter -> corner -> unit
-
 val corner_in_bounds : Fpva.t -> corner -> bool
 
 val is_boundary_corner : Fpva.t -> corner -> bool

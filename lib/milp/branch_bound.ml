@@ -200,7 +200,3 @@ let solve ?options lp =
           ("nodes", string_of_int (Trace.count nodes_c - before)) ];
     outcome
   end
-
-let solution_values = function
-  | Optimal sol | Feasible sol -> Some sol.values
-  | Infeasible | Unbounded | Unknown -> None

@@ -30,6 +30,3 @@ type outcome =
   | Unknown  (** budget exhausted with no incumbent found *)
 
 val solve : ?options:options -> Lp.t -> outcome
-
-val solution_values : outcome -> float array option
-(** The incumbent point of an [Optimal]/[Feasible] outcome. *)

@@ -11,21 +11,18 @@ type var = int
 type term = float * var
 
 type var_info = {
-  v_name : string;
   v_lower : float;
   v_upper : float;
   v_kind : kind;
 }
 
 type constr = {
-  c_name : string;
   c_terms : term array;
   c_rel : relation;
   c_rhs : float;
 }
 
 type t = {
-  mutable model_name : string;
   model_sense : sense;
   vars : var_info Vec.t;
   constrs : constr Vec.t;
@@ -33,9 +30,8 @@ type t = {
   mutable obj_constant : float;
 }
 
-let create ?(name = "lp") sense =
+let create sense =
   {
-    model_name = name;
     model_sense = sense;
     vars = Vec.create ();
     constrs = Vec.create ();
@@ -43,11 +39,9 @@ let create ?(name = "lp") sense =
     obj_constant = 0.0;
   }
 
-let name t = t.model_name
-
 let sense t = t.model_sense
 
-let add_var t ?name ?lower ?upper kind =
+let add_var t ?lower ?upper kind =
   let default_lower, default_upper =
     match kind with
     | Binary -> (0.0, 1.0)
@@ -57,10 +51,7 @@ let add_var t ?name ?lower ?upper kind =
   let v_upper = Option.value upper ~default:default_upper in
   if v_lower > v_upper then invalid_arg "Lp.add_var: lower > upper";
   let idx = Vec.length t.vars in
-  let v_name =
-    match name with Some n -> n | None -> Printf.sprintf "x%d" idx
-  in
-  Vec.push t.vars { v_name; v_lower; v_upper; v_kind = kind };
+  Vec.push t.vars { v_lower; v_upper; v_kind = kind };
   idx
 
 (* Merge duplicate variables so downstream code can assume each variable
@@ -87,14 +78,9 @@ let merge_terms terms =
 let check_var t v fn =
   if v < 0 || v >= Vec.length t.vars then invalid_arg fn
 
-let add_constr t ?name terms rel rhs =
+let add_constr t terms rel rhs =
   List.iter (fun (_, v) -> check_var t v "Lp.add_constr: foreign variable") terms;
-  let idx = Vec.length t.constrs in
-  let c_name =
-    match name with Some n -> n | None -> Printf.sprintf "c%d" idx
-  in
-  Vec.push t.constrs
-    { c_name; c_terms = merge_terms terms; c_rel = rel; c_rhs = rhs }
+  Vec.push t.constrs { c_terms = merge_terms terms; c_rel = rel; c_rhs = rhs }
 
 let set_objective t ?(constant = 0.0) terms =
   List.iter (fun (_, v) -> check_var t v "Lp.set_objective: foreign variable") terms;
@@ -110,8 +96,6 @@ let num_constrs t = Vec.length t.constrs
 let var_info t v =
   check_var t v "Lp.var_info";
   Vec.get t.vars v
-
-let var_name t v = (var_info t v).v_name
 
 let var_of_index t i =
   check_var t i "Lp.var_of_index";
@@ -129,8 +113,6 @@ let is_integral_kind = function
 
 let objective_terms t = Array.to_list t.obj
 
-let objective_constant t = t.obj_constant
-
 let constr t i =
   if i < 0 || i >= Vec.length t.constrs then invalid_arg "Lp.constr";
   Vec.get t.constrs i
@@ -140,11 +122,6 @@ let constr_terms t i = Array.to_list (constr t i).c_terms
 let constr_relation t i = (constr t i).c_rel
 
 let constr_rhs t i = (constr t i).c_rhs
-
-let constr_name t i = (constr t i).c_name
-
-let eval_terms terms x =
-  List.fold_left (fun acc (c, v) -> acc +. (c *. x.(v))) 0.0 terms
 
 let objective_value t x =
   Array.fold_left (fun acc (c, v) -> acc +. (c *. x.(v))) t.obj_constant t.obj
@@ -175,39 +152,3 @@ let check_feasible ?(eps = 1e-6) t x =
       if not ok then constrs_ok := false)
     t.constrs;
   !bounds_ok && !constrs_ok
-
-let pp_terms t ppf terms =
-  if Array.length terms = 0 then Format.fprintf ppf "0"
-  else
-    Array.iteri
-      (fun i (c, v) ->
-        let sign, mag = if c < 0.0 then ("- ", -.c) else ("+ ", c) in
-        let sign = if i = 0 && c >= 0.0 then "" else sign in
-        if mag = 1.0 then Format.fprintf ppf "%s%s " sign (var_name t v)
-        else Format.fprintf ppf "%s%g %s " sign mag (var_name t v))
-      terms
-
-let pp ppf t =
-  let dir = match t.model_sense with Minimize -> "min" | Maximize -> "max" in
-  Format.fprintf ppf "@[<v>%s: %a" dir (pp_terms t) t.obj;
-  if t.obj_constant <> 0.0 then Format.fprintf ppf "+ %g" t.obj_constant;
-  Format.fprintf ppf "@,subject to:@,";
-  Vec.iter
-    (fun c ->
-      let rel = match c.c_rel with Le -> "<=" | Ge -> ">=" | Eq -> "=" in
-      Format.fprintf ppf "  %s: %a%s %g@," c.c_name (pp_terms t) c.c_terms rel
-        c.c_rhs)
-    t.constrs;
-  Format.fprintf ppf "bounds:@,";
-  Vec.iteri
-    (fun i info ->
-      let k =
-        match info.v_kind with
-        | Continuous -> ""
-        | Integer -> " int"
-        | Binary -> " bin"
-      in
-      Format.fprintf ppf "  %g <= %s <= %g%s@," info.v_lower
-        (var_name t i) info.v_upper k)
-    t.vars;
-  Format.fprintf ppf "@]"

@@ -24,21 +24,18 @@ type relation = Le | Ge | Eq
 type term = float * var
 (** A coefficient–variable product. *)
 
-val create : ?name:string -> sense -> t
+val create : sense -> t
 (** [create sense] is an empty model optimising in direction [sense]. *)
-
-val name : t -> string
 
 val sense : t -> sense
 
-val add_var :
-  t -> ?name:string -> ?lower:float -> ?upper:float -> kind -> var
+val add_var : t -> ?lower:float -> ?upper:float -> kind -> var
 (** [add_var t kind] declares a fresh variable.  Defaults: [lower] is [0.]
     ([0.] for [Binary]), [upper] is [infinity] ([1.] for [Binary]).
     Use [neg_infinity] for a free lower bound.
     @raise Invalid_argument if [lower > upper]. *)
 
-val add_constr : t -> ?name:string -> term list -> relation -> float -> unit
+val add_constr : t -> term list -> relation -> float -> unit
 (** [add_constr t terms rel rhs] adds the constraint [terms rel rhs].
     Repeated variables in [terms] are summed. *)
 
@@ -54,8 +51,6 @@ val num_constrs : t -> int
 
 (** {2 Introspection (used by the solvers and tests)} *)
 
-val var_name : t -> var -> string
-
 val var_of_index : t -> int -> var
 (** @raise Invalid_argument if out of range. *)
 
@@ -69,8 +64,6 @@ val is_integral_kind : kind -> bool
 
 val objective_terms : t -> term list
 
-val objective_constant : t -> float
-
 val constr_terms : t -> int -> term list
 (** Terms of the [i]th constraint, with duplicate variables merged. *)
 
@@ -78,18 +71,9 @@ val constr_relation : t -> int -> relation
 
 val constr_rhs : t -> int -> float
 
-val constr_name : t -> int -> string
-
-val eval_terms : term list -> float array -> float
-(** [eval_terms terms x] is the value of the linear form at point [x]
-    (indexed by {!var_index}). *)
-
 val check_feasible : ?eps:float -> t -> float array -> bool
 (** [check_feasible t x] tests bounds, constraints and integrality of [x]
     within tolerance [eps] (default [1e-6]). *)
 
 val objective_value : t -> float array -> float
 (** Objective value at a point, including the constant term. *)
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable dump of the whole model (LP-like syntax). *)

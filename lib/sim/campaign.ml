@@ -33,13 +33,16 @@ type row = {
 type result = { rows : row list; truncated : int list; wall_seconds : float }
 
 (* Distinct faults for one trial.  Stuck-at-only campaigns reuse the paper's
-   distinct-valve draw; mixed campaigns draw class-first and reject
-   duplicate valve usage so faults do not trivially collide. *)
+   distinct-valve draw, capped at one fault per valve; mixed campaigns draw
+   class-first and reject duplicate valve usage so faults do not trivially
+   collide. *)
 let draw_faults rng fpva ~classes ~count =
   let stuck_only =
     List.for_all (function `Stuck_at_0 | `Stuck_at_1 -> true | `Control_leak -> false) classes
   in
-  if stuck_only then Fault.random_multi rng fpva ~count
+  if stuck_only then
+    Fault.random_multi rng fpva
+      ~count:(min count (Fpva_grid.Fpva.num_valves fpva))
   else if Fault.feasible_classes fpva classes = [] then []
   else begin
     let used = Hashtbl.create 8 in

@@ -40,8 +40,9 @@ val draw_faults :
   Fault.t list
 (** Distinct faults for one trial (no valve reuse across the drawn set).
     Stuck-at-only class lists use the paper's distinct-valve draw; mixed
-    lists draw class-first with rejection, so the result may be {e short}
-    (fewer than [count]) or empty when the layout cannot host the request.
+    lists draw class-first with rejection.  Either result may be {e short}
+    (fewer than [count]) when the layout has too few valves for the
+    request, and a mixed draw may be empty.
     Exposed for workloads that build their own per-chip fault populations
     ({!Lifetime}). *)
 

@@ -12,13 +12,6 @@ let check_rate fn r =
     invalid_arg
       (Printf.sprintf "Measurement.%s: rate %g outside [0,1]" fn r)
 
-let of_rates ~false_pass ~false_fail =
-  if Array.length false_pass <> Array.length false_fail then
-    invalid_arg "Measurement.of_rates: per-meter arrays differ in length";
-  Array.iter (check_rate "of_rates") false_pass;
-  Array.iter (check_rate "of_rates") false_fail;
-  { false_pass = Array.copy false_pass; false_fail = Array.copy false_fail }
-
 let uniform fpva ~false_pass ~false_fail =
   check_rate "uniform" false_pass;
   check_rate "uniform" false_fail;

@@ -29,10 +29,6 @@ val uniform : Fpva.t -> false_pass:float -> false_fail:float -> t
 (** The same error rates at every port.
     @raise Invalid_argument if a rate is outside [0,1]. *)
 
-val of_rates : false_pass:float array -> false_fail:float array -> t
-(** Per-meter rates, indexed like [Fpva.ports].
-    @raise Invalid_argument on length mismatch or a rate outside [0,1]. *)
-
 val is_ideal : t -> bool
 
 val num_meters : t -> int

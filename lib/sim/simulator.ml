@@ -80,22 +80,13 @@ let respond h ~faults ~open_valves =
     ~open_valve:(fun vid -> states.(vid))
     ~into:h.obs
 
-let response_h h ~faults ~open_valves =
-  respond h ~faults ~open_valves;
-  Array.copy h.obs
-
 let apply_vector_h h ~faults (v : Tv.t) =
-  response_h h ~faults ~open_valves:v.Tv.open_valves
+  respond h ~faults ~open_valves:v.Tv.open_valves;
+  Array.copy h.obs
 
 let detects_h h ~faults (v : Tv.t) =
   respond h ~faults ~open_valves:v.Tv.open_valves;
   h.obs <> v.Tv.golden
-
-let detected_by_suite_h h ~faults suite =
-  List.exists (fun v -> detects_h h ~faults v) suite
-
-let first_detecting_h h ~faults suite =
-  List.find_opt (fun v -> detects_h h ~faults v) suite
 
 (* ---------- bit-parallel batch handle ---------- *)
 
@@ -243,7 +234,9 @@ let batch_detects b ~alive (v : Tv.t) =
 (* ---------- per-call wrappers ---------- *)
 
 let response fpva ~faults ~open_valves =
-  response_h (make fpva) ~faults ~open_valves
+  let h = make fpva in
+  respond h ~faults ~open_valves;
+  h.obs
 
 let apply_vector fpva ~faults (v : Tv.t) =
   apply_vector_h (make fpva) ~faults v
@@ -251,10 +244,12 @@ let apply_vector fpva ~faults (v : Tv.t) =
 let detects fpva ~faults (v : Tv.t) = detects_h (make fpva) ~faults v
 
 let detected_by_suite fpva ~faults suite =
-  detected_by_suite_h (make fpva) ~faults suite
+  let h = make fpva in
+  List.exists (fun v -> detects_h h ~faults v) suite
 
 let first_detecting fpva ~faults suite =
-  first_detecting_h (make fpva) ~faults suite
+  let h = make fpva in
+  List.find_opt (fun v -> detects_h h ~faults v) suite
 
 (* Tailored probes: for each fault, synthesise the vector family that would
    expose it on a fault-free-except-this chip, then check whether any member

@@ -42,9 +42,6 @@ val make : Fpva.t -> handle
 
 val handle_fpva : handle -> Fpva.t
 
-val response_h :
-  handle -> faults:Fault.t list -> open_valves:bool array -> bool array
-
 val apply_vector_h :
   handle -> faults:Fault.t list -> Fpva_testgen.Test_vector.t -> bool array
 
@@ -52,15 +49,6 @@ val detects_h :
   handle -> faults:Fault.t list -> Fpva_testgen.Test_vector.t -> bool
 (** Allocation-free: simulates into the handle's buffers and compares
     against the vector's golden response in place. *)
-
-val detected_by_suite_h :
-  handle -> faults:Fault.t list -> Fpva_testgen.Test_vector.t list -> bool
-
-val first_detecting_h :
-  handle ->
-  faults:Fault.t list ->
-  Fpva_testgen.Test_vector.t list ->
-  Fpva_testgen.Test_vector.t option
 
 (** {2 Bit-parallel batch handle}
 

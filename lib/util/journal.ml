@@ -67,16 +67,6 @@ type io = {
   close : unit -> unit;
 }
 
-let buffer_io buf =
-  {
-    write =
-      (fun b off len ->
-        Buffer.add_subbytes buf b off len;
-        len);
-    sync = ignore;
-    close = ignore;
-  }
-
 let file_io fd =
   {
     write = (fun b off len -> Unix.write fd b off len);
@@ -121,7 +111,6 @@ type writer = {
 }
 
 let records_written w = w.records
-let bytes_written w = w.bytes
 
 let sync w =
   if w.closed then io_fail "sync on closed writer";

@@ -17,7 +17,7 @@
 
     Appends go through an injectable {!io} so chaos tests can inject
     short writes, [EINTR], [ENOSPC] and fsync failures
-    (see {!Fpva_sim.Chaos.Io}); the writer retries short writes and
+    (see [test/chaos.ml]); the writer retries short writes and
     [EINTR], and surfaces everything else as {!Error}.  Durability is
     batched: the file is fsynced every [sync_every] appends (and on
     {!close}), so a machine crash loses at most the last batch — which a
@@ -52,10 +52,6 @@ type io = {
   sync : unit -> unit;
   close : unit -> unit;
 }
-
-val buffer_io : Buffer.t -> io
-(** An in-memory sink ([sync]/[close] are no-ops) — for tests that build
-    journal images without touching the filesystem. *)
 
 (** {1 Writing} *)
 
@@ -101,10 +97,6 @@ val close : writer -> unit
     close itself fails (the fd is still released). *)
 
 val records_written : writer -> int
-
-val bytes_written : writer -> int
-(** Bytes appended through this writer (magic header included when it
-    wrote one). *)
 
 (** {1 Recovery} *)
 

@@ -49,7 +49,3 @@ let percentile a p =
   end
 
 let ratio num den = if den = 0 then 0.0 else float_of_int num /. float_of_int den
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g" s.n s.mean
-    s.stddev s.min s.max

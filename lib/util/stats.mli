@@ -23,5 +23,3 @@ val mean : float array -> float
 
 val ratio : int -> int -> float
 (** [ratio num den] is [num /. den] as floats; 0 if [den = 0]. *)
-
-val pp_summary : Format.formatter -> summary -> unit

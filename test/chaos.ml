@@ -1,14 +1,40 @@
+(* Solver and I/O fault injection for the resilience tests.
+
+   [wrap] puts any [Cover.engine] behind a misbehaving proxy so the
+   resilience machinery ([Cover.find_robust] fallbacks, [Budget]
+   accounting, [Pipeline] degradation reports) is exercised
+   deterministically.  The injected behaviours mirror how a real MILP
+   backend fails: it burns its deadline and returns nothing, it reports
+   infeasibility spuriously under a node cap, it returns a garbage
+   incumbent after truncation, or it crashes transiently for the first few
+   calls.  [Io.wrap] does the same to a [Journal.io].  No global state
+   beyond the per-wrapper [monitor], so independent tests do not
+   interfere. *)
+
 module Cover = Fpva_testgen.Cover
 module Problem = Fpva_testgen.Problem
 
 type fault =
   | Deadline_exhaustion
+      (* every call consumes its budget and produces nothing: a solver
+         that hits [time_limit] with no incumbent *)
   | Spurious_infeasible of int
+      (* every [k]-th call (1-based; [k <= 1] means every call) returns
+         "no path" even when one exists: an aggressive node cap making
+         branch-and-bound declare infeasibility wrongly *)
   | Garbage_incumbent
+      (* every returned path is corrupted before delivery: a truncated
+         solve handing back an inconsistent incumbent; the
+         [Problem.path_ok] audit in [Cover] must catch every one *)
   | Transient_failure of int
+      (* the first [n] calls raise [Injected_failure]; later calls pass
+         through: a backend that recovers after a restart *)
 
+(* Contained by [Cover.find_one]'s exception guard. *)
 exception Injected_failure
 
+(* [calls] counts engine invocations seen by the wrapper, [injected] the
+   invocations where the fault actually fired. *)
 type monitor = { mutable calls : int; mutable injected : int }
 
 let monitor () = { calls = 0; injected = 0 }
@@ -50,10 +76,15 @@ let corrupt ~mode (p : Problem.path) =
   | Some q -> q
   | None -> { Problem.nodes = []; edges = [] }
 
+(* Deterministic meter noise for retest tests: wraps a per-attempt read
+   function ([Retest.apply]'s shape), inverting the result of every
+   attempt whose 0-based index appears in [flips]. *)
 let flaky_read ~flips read attempt =
   let r = read attempt in
   if List.mem attempt flips then not r else r
 
+(* [wrap fault base] is a [Custom] engine that consults [base] (via the
+   audited [Cover.find_one]) and then injects [fault]. *)
 let wrap ?monitor:m fault base =
   let m = match m with Some m -> m | None -> monitor () in
   let base_find problem ~weight = Cover.find_one base problem ~weight in
@@ -92,21 +123,26 @@ let wrap ?monitor:m fault base =
 
 (* ---------- injectable I/O faults ---------- *)
 
+(* A [Journal.io] proxy that misbehaves the way real filesystems do, so the
+   journal's recovery machinery (short-write loops, EINTR retries, typed
+   [ENOSPC] surfacing, checkpoint degradation) is exercised
+   deterministically. *)
 module Io = struct
   module Journal = Fpva_util.Journal
 
   type fault =
     | Short_write of int
+        (* every write call transfers at most [n] bytes *)
     | Eintr_every of int
+        (* every [k]-th write call raises [EINTR] before transferring
+           anything *)
     | Enospc_after of int
-    | Fsync_failure
+        (* once [n] bytes have been transferred, every further write
+           raises [ENOSPC]: a volume filling up mid-campaign *)
+    | Fsync_failure  (* every sync raises [EIO] *)
 
-  let fault_name = function
-    | Short_write n -> Printf.sprintf "short-write-%d" n
-    | Eintr_every k -> Printf.sprintf "eintr-every-%d" k
-    | Enospc_after n -> Printf.sprintf "enospc-after-%d" n
-    | Fsync_failure -> "fsync-failure"
-
+  (* Faults compose: [[Short_write 3; Enospc_after 100]] dribbles 3 bytes
+     at a time until the 100-byte cliff. *)
   let wrap ?monitor:m faults (io : Journal.io) =
     let m = match m with Some m -> m | None -> monitor () in
     let calls = ref 0 in

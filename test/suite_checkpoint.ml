@@ -12,7 +12,6 @@ open Fpva_testgen
 module Campaign = Fpva_sim.Campaign
 module Checkpoint = Fpva_sim.Checkpoint
 module Diagnosis = Fpva_sim.Diagnosis
-module Chaos = Fpva_sim.Chaos
 module Journal = Fpva_util.Journal
 module Trace = Fpva_util.Trace
 

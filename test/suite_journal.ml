@@ -7,7 +7,6 @@
 
 open Helpers
 module Journal = Fpva_util.Journal
-module Chaos = Fpva_sim.Chaos
 
 let tmp_path =
   let n = ref 0 in

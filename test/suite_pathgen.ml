@@ -12,7 +12,7 @@ let line_problem n =
   let terminal = Array.make (n + 1) false in
   terminal.(0) <- true;
   terminal.(n) <- true;
-  Problem.build ~name:"line" ~num_nodes:(n + 1) ~edges ~required ~terminal
+  Problem.build ~num_nodes:(n + 1) ~edges ~required ~terminal
     ~starts:[| 0 |] ~ends:[| n |] ()
 
 (* A 2x3 grid-ish diamond used for branching tests:
@@ -26,7 +26,7 @@ let diamond_problem ?pair_constrained () =
   let terminal = Array.make 6 false in
   terminal.(0) <- true;
   terminal.(5) <- true;
-  Problem.build ~name:"diamond" ~num_nodes:6 ~edges ~required
+  Problem.build ~num_nodes:6 ~edges ~required
     ?pair_constrained ~terminal ~starts:[| 0 |] ~ends:[| 5 |] ()
 
 let problem_tests =
@@ -35,13 +35,13 @@ let problem_tests =
         Alcotest.check_raises "required size"
           (Invalid_argument "Problem.build: required size") (fun () ->
             ignore
-              (Problem.build ~name:"x" ~num_nodes:2 ~edges:[| (0, 1) |]
+              (Problem.build ~num_nodes:2 ~edges:[| (0, 1) |]
                  ~required:[||] ~starts:[| 0 |] ~ends:[| 1 |] ())));
     case "build rejects self loops" (fun () ->
         Alcotest.check_raises "self loop"
           (Invalid_argument "Problem.build: self loop") (fun () ->
             ignore
-              (Problem.build ~name:"x" ~num_nodes:2 ~edges:[| (1, 1) |]
+              (Problem.build ~num_nodes:2 ~edges:[| (1, 1) |]
                  ~required:[| true |] ~starts:[| 0 |] ~ends:[| 1 |] ())));
     case "path_ok accepts the line walk" (fun () ->
         let p = line_problem 4 in
@@ -63,7 +63,7 @@ let problem_tests =
         let edges = [| (0, 1); (1, 2); (2, 3) |] in
         let terminal = [| true; false; true; true |] in
         let p =
-          Problem.build ~name:"t" ~num_nodes:4 ~edges
+          Problem.build ~num_nodes:4 ~edges
             ~required:(Array.make 3 false) ~terminal ~starts:[| 0 |]
             ~ends:[| 3 |] ()
         in
@@ -100,7 +100,7 @@ let problem_tests =
         pc.(4) <- true;
         let terminal = [| true; false; true; false |] in
         let q =
-          Problem.build ~name:"sq" ~num_nodes:4 ~edges
+          Problem.build ~num_nodes:4 ~edges
             ~required:(Array.make 5 false) ~pair_constrained:pc ~terminal
             ~starts:[| 0 |] ~ends:[| 2 |] ()
         in
@@ -113,7 +113,7 @@ let problem_tests =
         pc.(2) <- true;
         (* edge 2 = (2,3) *)
         let q =
-          Problem.build ~name:"sq2" ~num_nodes:4 ~edges
+          Problem.build ~num_nodes:4 ~edges
             ~required:(Array.make 5 false) ~pair_constrained:pc ~terminal
             ~starts:[| 0 |] ~ends:[| 2 |] ()
         in
@@ -173,7 +173,7 @@ let search_tests =
         let edges = [| (0, 1); (2, 3) |] in
         let terminal = [| true; false; false; true |] in
         let p =
-          Problem.build ~name:"split" ~num_nodes:4 ~edges
+          Problem.build ~num_nodes:4 ~edges
             ~required:(Array.make 2 false) ~terminal ~starts:[| 0 |]
             ~ends:[| 3 |] ()
         in
@@ -192,7 +192,7 @@ let search_tests =
         (* positive weights used to raise from the constructive seeds, and
            all-zero weights used to loop forever over the empty start set *)
         let p =
-          Problem.build ~name:"nostart" ~num_nodes:3
+          Problem.build ~num_nodes:3
             ~edges:[| (0, 1); (1, 2) |] ~required:[| true; true |]
             ~starts:[||] ~ends:[| 2 |] ()
         in
@@ -200,7 +200,7 @@ let search_tests =
         checkb "zero" true (Path_search.find p ~weight:[| 0.0; 0.0 |] = None));
     case "no end: None" (fun () ->
         let p =
-          Problem.build ~name:"noend" ~num_nodes:3
+          Problem.build ~num_nodes:3
             ~edges:[| (0, 1); (1, 2) |] ~required:[| true; true |]
             ~starts:[| 0 |] ~ends:[||] ()
         in
@@ -278,7 +278,7 @@ let hub_problem () =
   let m = Array.length edges in
   let pc = Array.init m (fun e -> e mod 4 = 3) in
   let terminal = [| true; false; false; false; false; false; true |] in
-  Problem.build ~name:"hub" ~num_nodes:7 ~edges
+  Problem.build ~num_nodes:7 ~edges
     ~required:(Array.init m (fun e -> e mod 3 <> 2))
     ~pair_constrained:pc ~terminal ~starts:[| 0; 2 |] ~ends:[| 6; 5 |] ()
 
@@ -339,7 +339,7 @@ let ilp_tests =
         pc.(2) <- true;
         let terminal = [| true; false; true; false |] in
         let q =
-          Problem.build ~name:"sq" ~num_nodes:4 ~edges
+          Problem.build ~num_nodes:4 ~edges
             ~required:(Array.make 5 false) ~pair_constrained:pc ~terminal
             ~starts:[| 0 |] ~ends:[| 2 |] ()
         in
@@ -352,7 +352,7 @@ let ilp_tests =
         let edges = [| (0, 1); (2, 3) |] in
         let terminal = [| true; false; false; true |] in
         let p =
-          Problem.build ~name:"split" ~num_nodes:4 ~edges
+          Problem.build ~num_nodes:4 ~edges
             ~required:(Array.make 2 false) ~terminal ~starts:[| 0 |]
             ~ends:[| 3 |] ()
         in
@@ -403,7 +403,7 @@ let cover_tests =
         let edges = [| (0, 1); (2, 3) |] in
         let terminal = [| true; true; false; false |] in
         let p =
-          Problem.build ~name:"x" ~num_nodes:4 ~edges
+          Problem.build ~num_nodes:4 ~edges
             ~required:[| true; true |] ~terminal ~starts:[| 0 |] ~ends:[| 1 |]
             ()
         in

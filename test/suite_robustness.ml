@@ -5,7 +5,6 @@ open Helpers
 open Fpva_grid
 open Fpva_testgen
 module Bb = Fpva_milp.Branch_bound
-module Chaos = Fpva_sim.Chaos
 module Fault = Fpva_sim.Fault
 module Campaign = Fpva_sim.Campaign
 
@@ -270,16 +269,22 @@ let fault_tests =
             fault_counts = [ 3 ];
             classes = [ `Stuck_at_0; `Control_leak ] }
         in
-        let res = Campaign.run ~config t ~vectors:r.Pipeline.vectors in
-        (match res.Campaign.rows with
-        | [ row ] ->
-          (* only one disjoint stuck-at fault fits on one valve *)
-          checki "short draws" 20 row.Campaign.short_draws;
-          checki "no void draws" 0 row.Campaign.void_draws;
-          checki "effective trials" 20 (Campaign.effective_trials row);
-          checki "every trial accounted" 20
-            (row.Campaign.detected + List.length row.Campaign.escapes)
-        | rows -> Alcotest.failf "expected one row, got %d" (List.length rows));
+        (* only one disjoint stuck-at fault fits on one valve, whether the
+           class list is mixed or stuck-at only *)
+        List.iter
+          (fun classes ->
+            let config = { config with Campaign.classes } in
+            let res = Campaign.run ~config t ~vectors:r.Pipeline.vectors in
+            match res.Campaign.rows with
+            | [ row ] ->
+              checki "short draws" 20 row.Campaign.short_draws;
+              checki "no void draws" 0 row.Campaign.void_draws;
+              checki "effective trials" 20 (Campaign.effective_trials row);
+              checki "every trial accounted" 20
+                (row.Campaign.detected + List.length row.Campaign.escapes)
+            | rows ->
+              Alcotest.failf "expected one row, got %d" (List.length rows))
+          [ config.Campaign.classes; [ `Stuck_at_0; `Stuck_at_1 ] ];
         (* a campaign that can draw nothing scores nothing *)
         let config0 = { config with Campaign.classes = [ `Control_leak ] } in
         let res0 = Campaign.run ~config:config0 t ~vectors:r.Pipeline.vectors in

@@ -794,7 +794,24 @@ let exit_code_tests =
           (run_cli "campaign -n 4 --trials=-1 --noise 0.1");
         checki "negative fault count" 2
           (run_cli "campaign -n 4 --trials 1 --max-faults=-1");
-        checki "bad routing" 2 (run_cli "generate -n 4 --routing warp"));
+        checki "bad routing" 2 (run_cli "generate -n 4 --routing warp");
+        checki "zero block" 2 (run_cli "generate -n 6 --block 0");
+        checki "negative block" 2 (run_cli "generate -n 6 --block=-3");
+        checki "zero block in campaign" 2
+          (run_cli "campaign -n 4 --trials 1 --block 0");
+        checki "zero block in diagnose" 2 (run_cli "diagnose -n 4 --block 0");
+        checki "zero block in lifetime" 2 (run_cli "lifetime -n 4 --block 0");
+        checki "zero rows in show" 2 (run_cli "show -n 0");
+        checki "zero rows in generate" 2 (run_cli "generate -n 0");
+        checki "zero cols" 2 (run_cli "generate --layout full -n 3 --cols 0");
+        checki "NaN noise in campaign" 2
+          (run_cli "campaign -n 4 --trials 1 --noise nan");
+        checki "NaN noise in diagnose" 2
+          (run_cli "diagnose -n 4 --inject sa0:1 --noise nan");
+        checki "NaN time limit" 2
+          (run_cli "generate -n 6 --time-limit=nan --strict");
+        checki "NaN time limit in campaign" 2
+          (run_cli "campaign -n 4 --trials 1 --time-limit=nan"));
     case "exit 3 on strict degradation (budget timeout)" (fun () ->
         checki "generate --strict under a zero budget" 3
           (run_cli "generate -n 6 --time-limit 0 --strict");

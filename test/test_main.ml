@@ -21,7 +21,6 @@ let () =
       ("vectors", Suite_vectors.tests);
       ("sim", Suite_sim.tests);
       ("parse", Suite_parse.tests);
-      ("app", Suite_app.tests);
       ("extensions", Suite_extensions.tests);
       ("io-compact", Suite_io_compact.tests);
       ("robustness", Suite_robustness.tests);
