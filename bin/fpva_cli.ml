@@ -542,7 +542,7 @@ let confidence_t =
   let doc =
     "Minimum posterior confidence for a ranked candidate to be listed; \
      with --sequential, the posterior mass at which the adaptive session \
-     stops (default 0.95 under noise)."
+     stops (default 0.95 under noise).  Must be in [0,1]."
   in
   Arg.(value & opt float 0.0 & info [ "confidence" ] ~docv:"C" ~doc)
 
@@ -568,6 +568,11 @@ let diagnose_cmd =
     end;
     if repeats < 1 then begin
       prerr_endline "error: --repeats must be >= 1";
+      exit 2
+    end;
+    (* 0 is the unset default; NaN fails both comparisons. *)
+    if not (confidence >= 0.0 && confidence <= 1.0) then begin
+      prerr_endline "error: --confidence must be in [0,1]";
       exit 2
     end;
     if resume && checkpoint = None then begin

@@ -60,10 +60,6 @@ type stats = {
 
 val fresh_stats : unit -> stats
 
-val default_salts : int list
-(** [[17; 7919; 104729]] — the retry salts of the fallback chain (one
-    independently-seeded randomized search per salt). *)
-
 val find_one : engine -> Problem.t -> weight:float array -> Problem.path option
 (** One audited engine invocation, no fallback: the result, if any,
     satisfies [Problem.path_ok]; exceptions raised by a [Custom] engine

@@ -21,6 +21,34 @@ exception Out_of_budget
 
 exception Abort_dive
 
+(* Unchecked array access, used only inside a dive ([explore], [visit],
+   [release], [masking_ok]), whose indices [check_csr] has bounded before
+   the first dive.  They must be primitives: each use is then compiled
+   for its array's element kind, where a [let]-bound alias of
+   [Array.unsafe_get] is a generic call and slower than checked access. *)
+external ( .!() ) : 'a array -> int -> 'a = "%array_unsafe_get"
+external ( .!()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
+
+(* The invariants that keep a dive's unchecked indices in range.
+   [Problem.build] establishes them, but a [Problem.t]'s arrays stay
+   mutable.  O(n + E). *)
+let check_csr (p : Problem.t) =
+  let fail what = invalid_arg ("Path_search.find: " ^ what) in
+  let n = p.num_nodes and arcs = 2 * p.num_edges in
+  if p.adj_off.(0) <> 0 || p.adj_off.(n) <> arcs then
+    fail "adjacency offsets";
+  for x = 0 to n - 1 do
+    if p.adj_off.(x) > p.adj_off.(x + 1) then fail "adjacency offsets"
+  done;
+  for k = 0 to arcs - 1 do
+    let y = p.adj_node.(k) and e = p.adj_edge.(k) in
+    if y < 0 || y >= n then fail "adjacency node out of range";
+    if e < 0 || e >= p.num_edges then fail "adjacency edge out of range"
+  done;
+  let in_range x = if x < 0 || x >= n then fail "start or end out of range" in
+  Array.iter in_range p.starts;
+  Array.iter in_range p.ends
+
 (* Buffers shared by every BFS of one [find] call. *)
 type bfs = {
   prev : int array;  (** -2 unseen, -1 root *)
@@ -135,13 +163,17 @@ let through (p : Problem.t) rng buf ~is_end ~edge ~attempts =
    sparse, targeted weight profile (mop-up, leakage victims, probes) is
    served even when blind dives would never stumble onto the target.
 
-   The dives allocate nothing per step.  The path lives in arrays indexed
-   by depth, and the candidates of a node on the path are kept, sorted, in
-   that node's own CSR slice of [cand_*]: path nodes are distinct, so the
-   slices of the nodes on the path never overlap. *)
+   The dives allocate nothing per step, and an expansion does O(1) work
+   per candidate.  The path lives in arrays indexed by depth, and the
+   candidates of a node on the path are kept, sorted, in that node's own
+   CSR slice of [cand_*]: path nodes are distinct, so the slices of the
+   nodes on the path never overlap.  Two per-node counts, updated in
+   O(degree) as a node joins or leaves the path, give a candidate's key
+   and its anti-masking test in O(1). *)
 let search params (p : Problem.t) ~weight =
   let n = p.num_nodes in
   let adj_off = p.adj_off and adj_node = p.adj_node and adj_edge = p.adj_edge in
+  let terminal = p.terminal and pair_constrained = p.pair_constrained in
   let rng = Rng.create params.seed in
   let budget = ref params.step_budget in
   let dives = ref 0 in
@@ -191,6 +223,20 @@ let search params (p : Problem.t) ~weight =
   end;
   (* Randomised dives. *)
   let visited = Array.make n false in
+  (* [free.(x)]: arcs from [x] to unvisited nodes.  [pinned.(x)]:
+     pair-constrained arcs from [x] to visited nodes.  Both are reset with
+     [visited] at each dive start, since [Abort_dive] unwinds without
+     releasing the path. *)
+  let degree = Array.init n (fun x -> adj_off.(x + 1) - adj_off.(x)) in
+  let free = Array.make n 0 in
+  let pinned = Array.make n 0 in
+  (* Nodes with an arc to an end node: the only ones with end hops. *)
+  let near_end = Array.make n false in
+  for x = 0 to n - 1 do
+    for k = adj_off.(x) to adj_off.(x + 1) - 1 do
+      if is_end.(adj_node.(k)) then near_end.(x) <- true
+    done
+  done;
   let path_node = Array.make n 0 in
   let path_edge = Array.make n 0 in
   let path_score = Array.make n 0.0 in
@@ -198,26 +244,29 @@ let search params (p : Problem.t) ~weight =
   let cand_node = Array.make (2 * p.num_edges) 0 in
   let cand_edge = Array.make (2 * p.num_edges) 0 in
   let backtracks = ref 0 in
+  let visit x =
+    visited.!(x) <- true;
+    for k = adj_off.!(x) to adj_off.!(x + 1) - 1 do
+      let y = adj_node.!(k) in
+      free.!(y) <- free.!(y) - 1;
+      if pair_constrained.!(adj_edge.!(k)) then pinned.!(y) <- pinned.!(y) + 1
+    done
+  in
+  let release x =
+    visited.!(x) <- false;
+    for k = adj_off.!(x) to adj_off.!(x + 1) - 1 do
+      let y = adj_node.!(k) in
+      free.!(y) <- free.!(y) + 1;
+      if pair_constrained.!(adj_edge.!(k)) then pinned.!(y) <- pinned.!(y) - 1
+    done
+  in
   (* Anti-masking: stepping onto [x] via [f] is legal only if no
      pair-constrained edge links [x] to an already-visited node (other than
-     through [f] itself): such an edge could never be traversed any more. *)
+     through [f] itself): such an edge could never be traversed any more.
+     The other end of [f] is the visited node being expanded, so [f] is one
+     of [x]'s pinned arcs exactly when it is pair-constrained. *)
   let masking_ok x f =
-    let k = ref adj_off.(x) and hi = adj_off.(x + 1) in
-    while
-      !k < hi
-      && (let e = adj_edge.(!k) in
-          (not p.pair_constrained.(e)) || e = f || not visited.(adj_node.(!k)))
-    do
-      incr k
-    done;
-    !k = hi
-  in
-  let unvisited_degree x =
-    let d = ref 0 in
-    for k = adj_off.(x) to adj_off.(x + 1) - 1 do
-      if not visited.(adj_node.(k)) then incr d
-    done;
-    !d
+    pinned.!(x) = if pair_constrained.!(f) then 1 else 0
   in
   (* The end hop from depth [d] to [final] over [final_edge]. *)
   let record d final final_edge =
@@ -236,48 +285,50 @@ let search params (p : Problem.t) ~weight =
   let rec explore d =
     if !budget <= 0 then raise Out_of_budget;
     decr budget;
-    let current = path_node.(d) in
-    let lo = adj_off.(current) and hi = adj_off.(current + 1) in
+    let current = path_node.!(d) in
+    let lo = adj_off.!(current) and hi = adj_off.!(current + 1) in
     (* Harvest end hops. *)
-    for k = lo to hi - 1 do
-      let y = adj_node.(k) in
-      if (not !perfect) && is_end.(y) && not visited.(y) then
-        record d y adj_edge.(k)
-    done;
+    if near_end.!(current) then
+      for k = lo to hi - 1 do
+        let y = adj_node.!(k) in
+        if (not !perfect) && is_end.!(y) && not visited.!(y) then
+          record d y adj_edge.!(k)
+      done;
     if not !perfect then begin
       (* One draw per admissible candidate in adjacency order; a stable
-         insertion sort on the keys. *)
+         insertion sort on the keys.  The jitter is [Rng.float rng 0.5],
+         formed from [Rng.bits53] so that no boxed float comes back. *)
       let count = ref 0 in
       for k = lo to hi - 1 do
-        let y = adj_node.(k) and e = adj_edge.(k) in
-        if (not (visited.(y) || p.terminal.(y))) && masking_ok y e then begin
+        let y = adj_node.!(k) and e = adj_edge.!(k) in
+        if (not (visited.!(y) || terminal.!(y))) && masking_ok y e then begin
           let key =
-            (-.weight.(e) *. 1024.0)
-            +. float_of_int (unvisited_degree y)
-            +. Rng.float rng 0.5
+            (-.weight.!(e) *. 1024.0)
+            +. float_of_int free.!(y)
+            +. (0.5 *. (float_of_int (Rng.bits53 rng) /. 9007199254740992.0))
           in
           let i = ref (lo + !count) in
-          while !i > lo && cand_key.(!i - 1) > key do
-            cand_key.(!i) <- cand_key.(!i - 1);
-            cand_node.(!i) <- cand_node.(!i - 1);
-            cand_edge.(!i) <- cand_edge.(!i - 1);
+          while !i > lo && cand_key.!(!i - 1) > key do
+            cand_key.!(!i) <- cand_key.!(!i - 1);
+            cand_node.!(!i) <- cand_node.!(!i - 1);
+            cand_edge.!(!i) <- cand_edge.!(!i - 1);
             decr i
           done;
-          cand_key.(!i) <- key;
-          cand_node.(!i) <- y;
-          cand_edge.(!i) <- e;
+          cand_key.!(!i) <- key;
+          cand_node.!(!i) <- y;
+          cand_edge.!(!i) <- e;
           incr count
         end
       done;
       for i = lo to lo + !count - 1 do
         if not !perfect then begin
-          let y = cand_node.(i) and e = cand_edge.(i) in
-          visited.(y) <- true;
-          path_node.(d + 1) <- y;
-          path_edge.(d + 1) <- e;
-          path_score.(d + 1) <- path_score.(d) +. weight.(e);
+          let y = cand_node.!(i) and e = cand_edge.!(i) in
+          visit y;
+          path_node.!(d + 1) <- y;
+          path_edge.!(d + 1) <- e;
+          path_score.!(d + 1) <- path_score.!(d) +. weight.!(e);
           explore (d + 1);
-          visited.(y) <- false;
+          release y;
           (* Returning here means the child subtree was abandoned: spend one
              unit of this dive's backtracking allowance. *)
           decr backtracks;
@@ -289,7 +340,9 @@ let search params (p : Problem.t) ~weight =
   let dive start =
     incr dives;
     Array.fill visited 0 n false;
-    visited.(start) <- true;
+    Array.blit degree 0 free 0 n;
+    Array.fill pinned 0 n 0;
+    visit start;
     path_node.(0) <- start;
     path_score.(0) <- 0.0;
     (* Allowance scales with instance size: enough to wriggle out of small
@@ -316,6 +369,7 @@ let find ?(params = default_params) (p : Problem.t) ~weight =
       if Float.is_nan w then invalid_arg "Path_search.find: NaN weight"
       else if w < 0.0 then invalid_arg "Path_search.find: negative weight")
     weight;
+  check_csr p;
   Trace.incr calls_counter;
   (* No start or no end: no admissible path exists. *)
   if Array.length p.starts = 0 || Array.length p.ends = 0 then None

@@ -30,4 +30,6 @@ val find :
     Each call adds to the Trace counters [path_search.calls],
     [path_search.steps] (expansions spent) and [path_search.dives].
     @raise Invalid_argument on a size mismatch, a negative or a NaN
-    weight. *)
+    weight, or an instance whose adjacency arrays no longer satisfy the
+    invariants {!Problem.build} established (the search indexes them
+    unchecked). *)

@@ -15,7 +15,6 @@ type t = {
   adj_edge : int array;
   valve_edges : Coord.edge array;
   source_nodes : int array;
-  sink_ports : int array;
   sink_node_mask : bool array;
   spare : scratch option Atomic.t;
 }
@@ -75,15 +74,12 @@ let of_fpva fpva =
       adj_edge.(k) <- e;
       cursor.(u) <- k + 1);
   let source_nodes = ref [] in
-  let sink_ports = ref [] in
   let sink_node_mask = Array.make num_nodes false in
   Array.iteri
     (fun i p ->
       match p.Fpva.kind with
       | Fpva.Source -> source_nodes := (num_cells + i) :: !source_nodes
-      | Fpva.Sink ->
-        sink_ports := i :: !sink_ports;
-        sink_node_mask.(num_cells + i) <- true)
+      | Fpva.Sink -> sink_node_mask.(num_cells + i) <- true)
     ports;
   {
     fpva;
@@ -96,7 +92,6 @@ let of_fpva fpva =
     adj_edge;
     valve_edges = Fpva.valves fpva;
     source_nodes = Array.of_list (List.rev !source_nodes);
-    sink_ports = Array.of_list (List.rev !sink_ports);
     sink_node_mask;
     spare = Atomic.make None;
   }
@@ -134,8 +129,6 @@ let adj_edge t = t.adj_edge
 let valve_edge t i = t.valve_edges.(i)
 
 let source_nodes t = t.source_nodes
-
-let sink_ports t = t.sink_ports
 
 let sink_node_mask t = t.sink_node_mask
 

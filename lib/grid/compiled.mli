@@ -73,9 +73,6 @@ val valve_edge : t -> int -> Coord.edge
 val source_nodes : t -> int array
 (** Node ids of source ports, in port order. *)
 
-val sink_ports : t -> int array
-(** Port indices (not node ids) of sink ports, in port order. *)
-
 val sink_node_mask : t -> bool array
 (** Per node id: is it a sink-port node?  (Early-exit test for
     separation checks.) *)

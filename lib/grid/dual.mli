@@ -20,10 +20,6 @@ val corner : int -> int -> corner
 
 val compare_corner : corner -> corner -> int
 
-val corner_in_bounds : Fpva.t -> corner -> bool
-
-val is_boundary_corner : Fpva.t -> corner -> bool
-
 val crossed_edge : Fpva.t -> corner -> corner -> Coord.edge option
 (** The primal internal edge crossed by the dual segment between two
     adjacent corners; [None] when the segment lies on the chip outline.

@@ -39,8 +39,6 @@ val carve_row_channel : Fpva.t -> row:int -> from_col:int -> to_col:int -> unit
 (** Replace the east-west valve sites along a row segment by open channel
     (cells [from_col..to_col] become a free corridor). *)
 
-val carve_col_channel : Fpva.t -> col:int -> from_row:int -> to_row:int -> unit
-
 val add_obstacle_block :
   Fpva.t -> row:int -> col:int -> height:int -> width:int -> unit
 (** Mark a rectangular block of cells as obstacles. *)

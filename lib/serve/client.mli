@@ -52,10 +52,3 @@ val call : config -> Protocol.envelope -> (Json.t, string) result
     check {!Protocol.response_ok}); [Error msg] means every attempt failed
     on transport or retryable errors, and [msg] describes the last
     failure. *)
-
-val call_once :
-  config -> string -> (string, string) result
-(** Low-level single attempt: send [line] (no newline) as one frame, read
-    one response line back.  No retry, no idempotency stamping, no JSON
-    validation of either side — the chaos harness uses this to speak
-    malformed protocol on purpose. *)

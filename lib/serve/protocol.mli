@@ -28,8 +28,6 @@ type error_code =
 
 val code_name : error_code -> string
 
-val code_of_name : string -> error_code option
-
 val retryable : error_code -> bool
 (** [Overloaded] and [Shutting_down] are worth retrying with backoff;
     the others are deterministic failures. *)

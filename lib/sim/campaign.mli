@@ -213,12 +213,10 @@ val noisy_checkpoint_key : noise_config -> Fpva_grid.Fpva.t ->
 (** {!checkpoint_key} for noise sweeps: additionally pins the noise
     levels (by exact IEEE bits) and the retest repeat budget. *)
 
-val noisy_effective_trials : noise_row -> int
-
 val noisy_detection_rate : noise_row -> float
 
 val false_alarm_rate : noise_row -> float
-(** [false_alarms / noisy_effective_trials]: the control session runs once
+(** [false_alarms / (n_trials - n_void_draws)]: the control session runs once
     per {e non-void} trial, so both rates share one denominator. *)
 
 val mean_reads : noise_row -> float

@@ -84,6 +84,4 @@ val run :
 val detection_rate : result -> float
 (** Detected over faulty (0 when the fleet is healthy). *)
 
-val pp_row : Format.formatter -> epoch_row -> unit
-
 val pp_result : Format.formatter -> result -> unit

@@ -31,8 +31,6 @@ val uniform : Fpva.t -> false_pass:float -> false_fail:float -> t
 
 val is_ideal : t -> bool
 
-val num_meters : t -> int
-
 val observe :
   t -> Fpva_util.Rng.t -> golden:bool array -> actual:bool array ->
   bool array

@@ -1,52 +1,20 @@
-type t = { mutable state : int64 }
+(* The state is the 8 bytes of one [int64], read and written with
+   [Bytes.get_int64_le]/[set_int64_le]: the value stays unboxed inside a
+   draw, where a [mutable int64] field would box a fresh state on every
+   step.  [next] and the finaliser are inlined into each draw, so no
+   [int64] leaves a function boxed. *)
+type t = Bytes.t
 
-let create seed = { state = Int64.of_int seed }
+let of_int64 s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 s;
+  t
 
-(* splitmix64 (Steele, Lea & Flood): passes BigCrush, trivially seedable. *)
-let next t =
-  t.state <- Int64.add t.state 0x9E3779B97F4A7C15L;
-  let z = t.state in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
+let create seed = of_int64 (Int64.of_int seed)
 
-(* 2^62 as an Int64: one past the largest value a 62-bit draw can take.
-   Not representable as a native [int] (max_int is 2^62 - 1), so the
-   rejection threshold below is computed in Int64 first. *)
-let two_pow_62 = 0x4000000000000000L
-
-let int t bound =
-  if bound <= 0 then invalid_arg "Rng.int";
-  (* Rejection sampling on the top 62 bits avoids modulo bias. *)
-  let draw62 () = Int64.to_int (Int64.shift_right_logical (next t) 2) in
-  if bound land (bound - 1) = 0 then draw62 () land (bound - 1)
-  else begin
-    (* Accept draws below the largest multiple of [bound] that fits in 62
-       bits; anything at or above it belongs to the final partial block and
-       would over-weight the low residues.  The threshold is explicit — an
-       overflow-based test (Java's [v - r + (bound - 1) >= 0]) relies on
-       wraparound behaviour that is easy to break under refactoring.  For a
-       non-power-of-two bound the threshold is at most 2^62 - 1, so it fits
-       a native int.  Acceptance region and accepted values are unchanged,
-       so streams are bit-identical to the previous sampler. *)
-    let threshold =
-      Int64.to_int
-        (Int64.sub two_pow_62 (Int64.rem two_pow_62 (Int64.of_int bound)))
-    in
-    let rec draw v = if v >= threshold then draw (draw62 ()) else v mod bound in
-    draw (draw62 ())
-  end
-
-let bool t = Int64.logand (next t) 1L = 1L
-
-let float t x =
-  let u = Int64.to_float (Int64.shift_right_logical (next t) 11) in
-  x *. (u /. 9007199254740992.0)
-
-let split t = { state = next t }
-
-(* Stateless splitmix64 finaliser, for counter-based stream derivation. *)
-let mix64 z =
+(* Stateless splitmix64 finaliser (Steele, Lea & Flood): passes BigCrush,
+   trivially seedable. *)
+let[@inline] mix64 z =
   let z =
     Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
       0xBF58476D1CE4E5B9L
@@ -56,6 +24,52 @@ let mix64 z =
       0x94D049BB133111EBL
   in
   Int64.logxor z (Int64.shift_right_logical z 31)
+
+(* splitmix64: a Weyl step of the state, then the finaliser. *)
+let[@inline] next t =
+  let s = Int64.add (Bytes.get_int64_le t 0) 0x9E3779B97F4A7C15L in
+  Bytes.set_int64_le t 0 s;
+  mix64 s
+
+(* The top 62 bits of one draw. *)
+let[@inline] draw62 t = Int64.to_int (Int64.shift_right_logical (next t) 2)
+
+(* 2^62 as an Int64: one past the largest value a 62-bit draw can take.
+   Not representable as a native [int] (max_int is 2^62 - 1), so the
+   rejection threshold below is computed in Int64 first. *)
+let two_pow_62 = 0x4000000000000000L
+
+let int t bound =
+  if bound <= 0 then invalid_arg "Rng.int";
+  (* Rejection sampling on the top 62 bits avoids modulo bias. *)
+  if bound land (bound - 1) = 0 then draw62 t land (bound - 1)
+  else begin
+    (* Accept draws below the largest multiple of [bound] that fits in 62
+       bits; anything at or above it belongs to the final partial block and
+       would over-weight the low residues.  The threshold is explicit — an
+       overflow-based test (Java's [v - r + (bound - 1) >= 0]) relies on
+       wraparound behaviour that is easy to break under refactoring.  For a
+       non-power-of-two bound the threshold is at most 2^62 - 1, so it fits
+       a native int. *)
+    let threshold =
+      Int64.to_int
+        (Int64.sub two_pow_62 (Int64.rem two_pow_62 (Int64.of_int bound)))
+    in
+    let v = ref (draw62 t) in
+    while !v >= threshold do
+      v := draw62 t
+    done;
+    !v mod bound
+  end
+
+let bits53 t = Int64.to_int (Int64.shift_right_logical (next t) 11)
+
+let bool t = Int64.logand (next t) 1L = 1L
+
+(* A 53-bit integer converts to a float exactly. *)
+let float t x = x *. (float_of_int (bits53 t) /. 9007199254740992.0)
+
+let split t = of_int64 (next t)
 
 let mix seed i =
   (* Finalise the seed before adding the Weyl-stepped index so that

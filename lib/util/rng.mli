@@ -5,6 +5,9 @@
     experiments are reproducible bit-for-bit across OCaml releases. *)
 
 type t
+(** The splitmix64 state: the 8 bytes of one [int64], read and written in
+    place, so that a draw allocates nothing ([int], [bits53] and [bool]
+    return immediates; [float] boxes only its result). *)
 
 val create : int -> t
 (** [create seed] is a fresh generator; equal seeds yield equal streams. *)
@@ -18,8 +21,14 @@ val int : t -> int -> int
 
 val bool : t -> bool
 
+val bits53 : t -> int
+(** [bits53 t] is the 53 high bits of one draw, uniform in [0, 2^53). *)
+
 val float : t -> float -> float
-(** [float t x] is uniform in [0, x). *)
+(** [float t x] is uniform in [0, x): it is
+    [x *. (float_of_int (bits53 t) /. 9007199254740992.0)], so a caller
+    in another module can form the same value from [bits53] without the
+    boxed float that a cross-module call returns. *)
 
 val split : t -> t
 (** [split t] derives an independent generator (advances [t]). *)

@@ -125,9 +125,6 @@ val gauges : unit -> (string * float) list
 val metrics_nonempty : unit -> bool
 (** Some counter or gauge is non-zero. *)
 
-val metrics_table : unit -> Table.t
-(** Non-zero counters and gauges as a two-column table. *)
-
 val metrics_summary : unit -> string
-(** Rendered {!metrics_table} under a heading, or a placeholder line when
-    nothing was recorded. *)
+(** Non-zero counters and gauges as a two-column table under a heading,
+    or a placeholder line when nothing was recorded. *)

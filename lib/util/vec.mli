@@ -55,6 +55,4 @@ val to_list : 'a t -> 'a list
 
 val of_list : 'a list -> 'a t
 
-val of_array : 'a array -> 'a t
-
 val copy : 'a t -> 'a t

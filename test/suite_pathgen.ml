@@ -188,6 +188,20 @@ let search_tests =
         Alcotest.check_raises "NaN"
           (Invalid_argument "Path_search.find: NaN weight") (fun () ->
             ignore (Path_search.find p ~weight:[| nan; 1.0 |])));
+    case "rejects an adjacency slot out of range" (fun () ->
+        (* the dives index the CSR arrays unchecked, so [find] must refuse
+           a [Problem.t] whose mutable arrays were changed after [build] *)
+        let raises mutate =
+          let p = diamond_problem () in
+          mutate p;
+          match Path_search.find p ~weight:(Array.make 7 1.0) with
+          | _ -> false
+          | exception Invalid_argument _ -> true
+        in
+        checkb "node" true
+          (raises (fun p -> p.Problem.adj_node.(0) <- p.Problem.num_nodes));
+        checkb "edge" true
+          (raises (fun p -> p.Problem.adj_edge.(3) <- p.Problem.num_edges)));
     case "no start: None, with positive or all-zero weights" (fun () ->
         (* positive weights used to raise from the constructive seeds, and
            all-zero weights used to loop forever over the empty start set *)
@@ -282,6 +296,23 @@ let hub_problem () =
     ~required:(Array.init m (fun e -> e mod 3 <> 2))
     ~pair_constrained:pc ~terminal ~starts:[| 0; 2 |] ~ends:[| 6; 5 |] ()
 
+(* The parallel pair 1-2 has both edges pair-constrained: a path through 1
+   and 2 would leave one of them untraversed, so the pair is never
+   admissible.  End 6 is terminal and reached by the pair-constrained arcs
+   4-6 and 5-6, so the end hop 5 -> 6 of a path through 4 fails the
+   anti-masking test.  End 4 is not terminal, so paths also pass it.
+   Starts 0 and 3, node 0 terminal. *)
+let masking_problem () =
+  let edges =
+    [| (0, 1); (1, 2); (1, 2); (2, 3); (3, 4); (4, 1); (4, 5); (5, 6); (3, 6);
+       (2, 5); (5, 1); (4, 6); (3, 5) |]
+  in
+  let pc = Array.make (Array.length edges) false in
+  List.iter (fun e -> pc.(e) <- true) [ 1; 2; 5; 7; 11; 12 ];
+  let terminal = [| true; false; false; false; false; false; true |] in
+  Problem.build ~num_nodes:7 ~edges ~required:(Array.make 13 true)
+    ~pair_constrained:pc ~terminal ~starts:[| 0; 3 |] ~ends:[| 6; 4 |] ()
+
 let oracle_tests =
   [
     case "hub with parallel edges agrees with the oracle" (fun () ->
@@ -295,6 +326,16 @@ let oracle_tests =
             | Some path -> checkb "valid" true (Problem.path_ok p path = Ok ())
             | None -> Alcotest.fail "no path")
           (Array.make 13 1.0 :: weight_profiles p ~salt:3));
+    case "anti-masking instance agrees with the oracle" (fun () ->
+        let p = masking_problem () in
+        List.iter
+          (fun weight ->
+            checkb "agrees" true
+              (agrees_with_oracle ~seeds:(List.init 20 Fun.id) p ~weight);
+            match Path_search.find p ~weight with
+            | Some path -> checkb "valid" true (Problem.path_ok p path = Ok ())
+            | None -> Alcotest.fail "no path")
+          (Array.make 13 1.0 :: weight_profiles p ~salt:5));
     qcheck_layout ~count:30 "find agrees with the list-based oracle"
       (fun t ->
         let flow, _ = Flow_path.problem t in
@@ -452,21 +493,26 @@ let cover_tests =
 (* ---------- pinned suites ----------
 
    The suite text of the paper's arrays under the default configuration,
-   pinned by digest: any change to the search's draw order, candidate order
-   or step accounting moves these. *)
+   pinned by digest, and the path-search steps the traced run spent: any
+   change to the search's draw order, candidate order or step accounting
+   moves these. *)
 
 let pinned_tests =
   List.map
-    (fun (n, total, digest) ->
+    (fun (n, total, digest, steps) ->
       slow_case (Printf.sprintf "paper %dx%d suite is pinned" n n) (fun () ->
           let t = Fpva_grid.Layouts.paper_array n in
-          let r = Pipeline.run_exn t in
+          Trace.reset ();
+          Trace.enable ();
+          let r = Fun.protect ~finally:Trace.disable (fun () -> Pipeline.run_exn t) in
           checki "N" total r.Pipeline.total;
           check Alcotest.string "digest" digest
             (Digest.to_hex
-               (Digest.string (Suite_io.to_string t r.Pipeline.vectors)))))
-    [ (5, 17, "7d0c3a4bb6968c0577de3d33c6702658");
-      (10, 40, "20a29170625e8a0c54d13b3a9937aca4") ]
+               (Digest.string (Suite_io.to_string t r.Pipeline.vectors)));
+          checki "path_search.steps" steps
+            (Trace.count (Trace.counter "path_search.steps"))))
+    [ (5, 17, "7d0c3a4bb6968c0577de3d33c6702658", 4_090_274);
+      (10, 40, "20a29170625e8a0c54d13b3a9937aca4", 8_000_262) ]
 
 let tests =
   problem_tests @ search_tests @ oracle_tests @ ilp_tests @ cover_tests

@@ -811,7 +811,13 @@ let exit_code_tests =
         checki "NaN time limit" 2
           (run_cli "generate -n 6 --time-limit=nan --strict");
         checki "NaN time limit in campaign" 2
-          (run_cli "campaign -n 4 --trials 1 --time-limit=nan"));
+          (run_cli "campaign -n 4 --trials 1 --time-limit=nan");
+        checki "confidence above 1" 2
+          (run_cli "diagnose -n 4 --sequential --inject sa0:1 --confidence 2");
+        checki "NaN confidence" 2
+          (run_cli "diagnose -n 4 --inject sa0:1 --confidence nan");
+        checki "negative confidence" 2
+          (run_cli "diagnose -n 4 --inject sa0:1 --confidence=-1"));
     case "exit 3 on strict degradation (budget timeout)" (fun () ->
         checki "generate --strict under a zero budget" 3
           (run_cli "generate -n 6 --time-limit 0 --strict");

@@ -209,6 +209,84 @@ let rng_tests =
           List.sort_uniq compare (List.init 1000 (fun i -> Rng.mix 5 i))
         in
         checki "no collisions over 1000 indices" 1000 (List.length outs));
+    case "pinned digest over 100 000 mixed draws" (fun () ->
+        (* Every entry point, each bound class (powers of two, others, and
+           bounds near 2^62 where rejection is frequent), and streams
+           replaced by [split] and [derive] mid-run.  The digest was taken
+           with the boxed-[int64] state the [Bytes] state replaced: a
+           change to any single draw moves it. *)
+        let bounds =
+          [| 1; 2; 8; 1024; 1 lsl 40; 3; 7; 10; 1000; 1_000_003; max_int;
+             max_int - 1; (1 lsl 61) + 1; (1 lsl 61) + 3 |]
+        in
+        let nb = Array.length bounds in
+        let buf = Buffer.create (1 lsl 20) in
+        let add_int x =
+          Buffer.add_string buf (string_of_int x);
+          Buffer.add_char buf ' '
+        in
+        let add_float x = add_int (Int64.to_int (Int64.bits_of_float x)) in
+        let r = ref (Rng.create 2024) in
+        let deck = Array.init 13 Fun.id in
+        for i = 0 to 99_999 do
+          match i mod (nb + 11) with
+          | k when k < nb -> add_int (Rng.int !r bounds.(k))
+          | k when k = nb -> add_float (Rng.float !r 1.0)
+          | k when k = nb + 1 -> add_float (Rng.float !r 3.5)
+          | k when k = nb + 2 -> add_int (Bool.to_int (Rng.bool !r))
+          | k when k = nb + 3 ->
+            r := Rng.split !r;
+            add_int (Rng.int !r 1_000_000)
+          | k when k = nb + 4 ->
+            add_int (Rng.int (Rng.derive i (Rng.int !r 1000)) 1_000_000)
+          | k when k = nb + 5 ->
+            Rng.shuffle_in_place !r deck;
+            Array.iter add_int deck
+          | k when k = nb + 6 ->
+            List.iter add_int (Rng.sample_without_replacement !r 5 40)
+          | k when k = nb + 7 ->
+            List.iter add_int (Rng.sample_without_replacement !r 20 60)
+          | k when k = nb + 8 -> add_int (Rng.pick !r deck)
+          | k when k = nb + 9 -> add_int (Rng.int !r (i + 1))
+          | _ -> add_int (Rng.mix i 17)
+        done;
+        check Alcotest.string "digest" "674b5ee49226d8a087db99a9d74945f0"
+          (Digest.to_hex (Digest.string (Buffer.contents buf))));
+    case "float is bits53 scaled by 2^-53" (fun () ->
+        let a = Rng.create 77 and b = Rng.create 77 in
+        List.iter
+          (fun x ->
+            for _ = 1 to 250 do
+              let bits = Rng.bits53 b in
+              checkb "53 bits" true (bits >= 0 && bits < 1 lsl 53);
+              checkb "same float" true
+                (Int64.equal
+                   (Int64.bits_of_float (Rng.float a x))
+                   (Int64.bits_of_float
+                      (x *. (float_of_int bits /. 9007199254740992.0))))
+            done)
+          [ 0.5; 1.0; 3.5; 1e-3 ]);
+    case "int and bits53 allocate nothing per draw" (fun () ->
+        (* Only native code keeps the state unboxed. *)
+        if Sys.backend_type = Sys.Native then begin
+          let r = Rng.create 5 in
+          let words_per_draw draw =
+            let before = Gc.minor_words () in
+            for i = 1 to 10_000 do
+              ignore (Sys.opaque_identity (draw i))
+            done;
+            (Gc.minor_words () -. before) /. 10_000.0
+          in
+          List.iter
+            (fun (name, draw) ->
+              let w = words_per_draw draw in
+              checkb (Printf.sprintf "%s: %.2f words per draw" name w) true
+                (w < 1.0))
+            [ ("int, power-of-two bounds", fun i -> Rng.int r (1 lsl (i mod 62)));
+              ("int, other bounds", fun i -> Rng.int r (3 + i));
+              ("int, bound near 2^62", fun _ -> Rng.int r ((1 lsl 61) + 1));
+              ("bits53", fun _ -> Rng.bits53 r) ]
+        end);
     case "derive seed i equals create (mix seed i)" (fun () ->
         let a = Rng.derive 9 4 and b = Rng.create (Rng.mix 9 4) in
         for _ = 1 to 50 do
