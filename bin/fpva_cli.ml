@@ -619,20 +619,18 @@ let diagnose_cmd =
        (resolution %.2f)\n"
       (List.length faults) (List.length classes)
       (Fpva_sim.Diagnosis.resolution dict);
+    let meter =
+      Fpva_sim.Measurement.uniform fpva ~false_pass:noise ~false_fail:noise
+    in
     if sequential then begin
       let module Seq = Fpva_sim.Diagnosis.Sequential in
       let noisy = noise > 0.0 in
       let config =
-        if noisy then begin
-          let meter =
-            Fpva_sim.Measurement.uniform fpva ~false_pass:noise
-              ~false_fail:noise
-          in
+        if noisy then
           { Seq.false_pass = Fpva_sim.Measurement.vector_false_pass meter;
             false_fail = Fpva_sim.Measurement.vector_false_fail meter;
             confidence = (if confidence > 0.0 then confidence else 0.95);
             max_reads = None }
-        end
         else if confidence > 0.0 then { Seq.ideal with Seq.confidence }
         else Seq.ideal
       in
@@ -655,10 +653,6 @@ let diagnose_cmd =
         let h = Fpva_sim.Simulator.make fpva in
         let read =
           if noisy || repeats > 1 then begin
-            let meter =
-              Fpva_sim.Measurement.uniform fpva ~false_pass:noise
-                ~false_fail:noise
-            in
             let rng = Fpva_util.Rng.create seed in
             let policy = Retest.policy repeats in
             fun _ v ->
@@ -705,15 +699,12 @@ let diagnose_cmd =
             (* Apply the suite through the noise model with adaptive
                retesting; the per-vector majority verdicts form the
                observed syndrome. *)
-            let meter =
-              Fpva_sim.Measurement.uniform fpva ~false_pass:noise
-                ~false_fail:noise
-            in
+            let h = Fpva_sim.Simulator.make fpva in
             let rng = Fpva_util.Rng.create seed in
             let session =
               Retest.run (Retest.policy repeats)
                 ~read:(fun v _ ->
-                  Fpva_sim.Measurement.detects meter rng fpva
+                  Fpva_sim.Measurement.detects_h meter rng h
                     ~faults:[ fault ] v)
                 result.Pipeline.vectors
             in
@@ -734,10 +725,6 @@ let diagnose_cmd =
           (Fpva_sim.Fault.to_string fault)
           failing (List.length result.Pipeline.vectors);
         if noisy then begin
-          let meter =
-            Fpva_sim.Measurement.uniform fpva ~false_pass:noise
-              ~false_fail:noise
-          in
           let ranked =
             Fpva_sim.Diagnosis.rank
               ~false_pass:(Fpva_sim.Measurement.vector_false_pass meter)

@@ -31,6 +31,13 @@ type t = {
   open_valves : bool array;  (** by valve id; [true] = valve held open *)
   golden : bool array;  (** by port index; expected pressure presence *)
 }
+(** Invariant: [golden] equals [golden_response fpva ~open_valves] for the
+    chip the vector was built for.  The constructors below establish it,
+    and {!Suite_io}'s parser refuses a vector whose stored golden line
+    differs.  The simulator's reads rely on it: a chip whose effective
+    valve states equal [open_valves] responds with [golden], so both the
+    scalar read and the batched one skip the pressure sweep for it.
+    Neither array may be mutated once built. *)
 
 val golden_response : Fpva.t -> open_valves:bool array -> bool array
 (** Fault-free port pressures under a valve-state assignment. *)

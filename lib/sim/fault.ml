@@ -81,16 +81,24 @@ let rec validate fpva f =
 
 let is_valid fpva f = Result.is_ok (validate fpva f)
 
+let rec permanent_only = function
+  | [] -> true
+  | Intermittent _ :: _ -> false
+  | (Stuck_at_0 _ | Stuck_at_1 _ | Control_leak _) :: rest ->
+    permanent_only rest
+
+let rec resolve_one rng = function
+  | Intermittent (f, p) ->
+    if p > 0.0 && Rng.float rng 1.0 < p then resolve_one rng f else None
+  | (Stuck_at_0 _ | Stuck_at_1 _ | Control_leak _) as f -> Some f
+
 let resolve rng faults =
   (* One activity draw per intermittent wrapper per application; permanent
      faults pass through without consuming randomness so that a fault list
-     free of intermittents leaves the stream untouched. *)
-  let rec one = function
-    | Intermittent (f, p) ->
-      if p > 0.0 && Rng.float rng 1.0 < p then one f else None
-    | (Stuck_at_0 _ | Stuck_at_1 _ | Control_leak _) as f -> Some f
-  in
-  List.filter_map one faults
+     free of intermittents leaves the stream untouched — and, returned as
+     it is, allocates nothing. *)
+  if permanent_only faults then faults
+  else List.filter_map (resolve_one rng) faults
 
 let random rng fpva =
   let nv = Fpva.num_valves fpva in

@@ -55,7 +55,8 @@ val resolve : Fpva_util.Rng.t -> t list -> t list
     through; each [Intermittent (f, p)] is included (as [f], recursively
     resolved) with probability [p].  Draws exactly one random number per
     intermittent wrapper, and none for permanent faults, so ideal fault
-    lists do not perturb the stream. *)
+    lists do not perturb the stream.  A list without [Intermittent]
+    wrappers is returned as it is, allocating nothing. *)
 
 val random : Fpva_util.Rng.t -> Fpva.t -> t
 (** A uniformly random fault: polarity fair coin over stuck-at faults; use

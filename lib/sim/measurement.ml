@@ -27,36 +27,46 @@ let is_ideal m =
   Array.for_all (fun r -> r = 0.0) m.false_pass
   && Array.for_all (fun r -> r = 0.0) m.false_fail
 
-let observe m rng ~golden ~actual =
+(* One meter's reading of a port: an agreeing meter misfires with the
+   false-fail rate, creating a spurious discrepancy; a discrepant one reads
+   back golden with the false-pass rate — either way the reading flips.  A
+   zero-rate meter draws nothing, so an ideal model leaves the random
+   stream untouched.  The draw is [Rng.float rng 1.0] formed from
+   [Rng.bits53] here, so no float is boxed. *)
+let read_meter m rng i ~golden ~actual =
+  let rates = if actual = golden then m.false_fail else m.false_pass in
+  if rates.(i) > 0.0
+     && float_of_int (Rng.bits53 rng) /. 9007199254740992.0 < rates.(i)
+  then not actual
+  else actual
+
+let check_meters m ~golden ~actual =
   let n = Array.length actual in
   if n <> num_meters m || Array.length golden <> n then
-    invalid_arg "Measurement.observe: meter count mismatch";
-  Array.init n (fun i ->
-      let a = actual.(i) in
-      if a = golden.(i) then
-        (* An agreeing meter misfires with the false-fail rate, creating a
-           spurious discrepancy.  Zero-rate meters draw nothing, so an
-           ideal model leaves the random stream untouched. *)
-        if m.false_fail.(i) > 0.0 && Rng.float rng 1.0 < m.false_fail.(i)
-        then not a
-        else a
-      else if m.false_pass.(i) > 0.0 && Rng.float rng 1.0 < m.false_pass.(i)
-      then golden.(i)
-      else a)
+    invalid_arg "Measurement.observe: meter count mismatch"
+
+let observe m rng ~golden ~actual =
+  check_meters m ~golden ~actual;
+  Array.init (Array.length actual) (fun i ->
+      read_meter m rng i ~golden:golden.(i) ~actual:actual.(i))
 
 let apply_vector_h m rng h ~faults v =
-  let faults = Fault.resolve rng faults in
-  let actual = Simulator.apply_vector_h h ~faults v in
+  let actual = Simulator.response_h h ~faults:(Fault.resolve rng faults) v in
   observe m rng ~golden:v.Tv.golden ~actual
 
+(* [observe] compared against golden, meter by meter over the borrowed
+   response.  Every meter is read, even after one has failed, so the
+   stream advances exactly as under [apply_vector_h]. *)
 let detects_h m rng h ~faults v =
-  apply_vector_h m rng h ~faults v <> v.Tv.golden
-
-let apply_vector m rng fpva ~faults v =
-  apply_vector_h m rng (Simulator.make fpva) ~faults v
-
-let detects m rng fpva ~faults v =
-  apply_vector m rng fpva ~faults v <> v.Tv.golden
+  let golden = v.Tv.golden in
+  let actual = Simulator.response_h h ~faults:(Fault.resolve rng faults) v in
+  check_meters m ~golden ~actual;
+  let failed = ref false in
+  for i = 0 to Array.length actual - 1 do
+    let g = golden.(i) in
+    if read_meter m rng i ~golden:g ~actual:actual.(i) <> g then failed := true
+  done;
+  !failed
 
 let vector_false_fail m =
   1.0

@@ -5,13 +5,13 @@
     expected (golden) value although the chip misbehaved, masking a failure
     ({e false pass}), or reports a discrepancy although the chip behaved,
     raising a spurious alarm ({e false fail}).  This module composes a
-    seeded per-meter error model over {!Simulator.apply_vector} without
+    seeded per-meter error model over {!Simulator.response_h} without
     touching the ideal path: the physical response is computed exactly,
     then each meter's reading is perturbed independently.
 
     Intermittent faults ({!Fault.Intermittent}) are resolved here on a
-    draw-per-application basis via {!Fault.resolve} — each call to
-    {!apply_vector} re-draws which sporadic faults are active.
+    draw-per-application basis via {!Fault.resolve} — each read re-draws
+    which sporadic faults are active.
 
     All randomness comes from an explicit {!Fpva_util.Rng.t}, and zero-rate
     meters consume no draws, so an ideal model applied to permanent faults
@@ -38,29 +38,22 @@ val observe :
     flipped with its false-fail rate; each discrepant port is flipped back
     to golden with its false-pass rate. *)
 
-val apply_vector :
-  t -> Fpva_util.Rng.t -> Fpva.t -> faults:Fault.t list ->
-  Fpva_testgen.Test_vector.t -> bool array
-(** Noisy observed response: resolve intermittent faults for this
-    application, simulate the physical response, then {!observe} it. *)
-
 val apply_vector_h :
   t -> Fpva_util.Rng.t -> Simulator.handle -> faults:Fault.t list ->
   Fpva_testgen.Test_vector.t -> bool array
-(** As {!apply_vector}, but over a prebuilt {!Simulator.handle} so sweeps
-    reuse one compilation and one set of simulation buffers.  Draws from
-    the stream in exactly the same order as {!apply_vector}. *)
+(** Noisy observed response: resolve intermittent faults for this
+    application, simulate the physical response on the handle, then
+    {!observe} it. *)
 
 val detects_h :
   t -> Fpva_util.Rng.t -> Simulator.handle -> faults:Fault.t list ->
   Fpva_testgen.Test_vector.t -> bool
-
-val detects :
-  t -> Fpva_util.Rng.t -> Fpva.t -> faults:Fault.t list ->
-  Fpva_testgen.Test_vector.t -> bool
 (** Does the {e noisy} observation differ from the vector's golden
-    response?  Unlike {!Simulator.detects} this can err in both
-    directions. *)
+    response?  Unlike {!Simulator.detects_h} this can err in both
+    directions.  Draws exactly the stream {!apply_vector_h} draws, but
+    reads the meters in place over {!Simulator.response_h}: a read whose
+    fault list has no [Intermittent] wrapper and moves no valve off its
+    commanded state allocates nothing. *)
 
 val vector_false_fail : t -> float
 (** Probability that a vector whose physical response matches golden is

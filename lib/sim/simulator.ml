@@ -1,47 +1,62 @@
 open Fpva_grid
 module Tv = Fpva_testgen.Test_vector
 
+(* The passes below walk the fault list with top-level recursive functions,
+   so resolving the effective states allocates nothing (a closure over
+   [states] would, on every read).  Intermittent wrappers are seen through
+   with [Fault.underlying]: the ideal simulator takes the deterministic
+   worst case, an intermittent fault permanently active.  Per-application
+   activity draws live in [Measurement], which resolves wrappers before
+   calling down here. *)
+
+(* One pass of the control-leak rule: an actuated (commanded-closed)
+   aggressor drags its victim closed.  [true] iff some victim closed. *)
+let rec leak_pass states changed = function
+  | [] -> changed
+  | f :: rest -> (
+    match Fault.underlying f with
+    | Fault.Control_leak (a, b) when (not states.(a)) && states.(b) ->
+      states.(b) <- false;
+      leak_pass states true rest
+    | Fault.Control_leak _ | Fault.Stuck_at_0 _ | Fault.Stuck_at_1 _
+    | Fault.Intermittent _ ->
+      leak_pass states changed rest)
+
+(* Every valve stuck at [value] takes it. *)
+let rec force_stuck states value = function
+  | [] -> ()
+  | f :: rest ->
+    (match Fault.underlying f with
+    | Fault.Stuck_at_1 v when value -> states.(v) <- true
+    | Fault.Stuck_at_0 v when not value -> states.(v) <- false
+    | Fault.Stuck_at_0 _ | Fault.Stuck_at_1 _ | Fault.Control_leak _
+    | Fault.Intermittent _ -> ());
+    force_stuck states value rest
+
 let effective_states_into fpva ~faults ~open_valves states =
   let nv = Fpva.num_valves fpva in
   if Array.length open_valves <> nv then
     invalid_arg "Simulator.effective_states";
-  (* The ideal simulator takes the deterministic worst case: an intermittent
-     fault is treated as permanently active.  Per-application activity draws
-     live in [Measurement.apply_vector], which resolves wrappers before
-     calling down here. *)
-  let faults = List.map Fault.underlying faults in
   Array.blit open_valves 0 states 0 nv;
-  (* Control leaks first: an actuated (commanded-closed) aggressor drags its
-     victim closed.  Leak chains propagate (a->b, b->c): iterate to a fixed
-     point; the commanded state of the aggressor is what actuates the leak,
-     but a victim closed by a leak also pressurises its own control channel,
-     so closure propagates transitively. *)
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun f ->
-        match f with
-        | Fault.Control_leak (a, b) ->
-          if (not states.(a)) && states.(b) then begin
-            states.(b) <- false;
-            changed := true
-          end
-        | Fault.Stuck_at_0 _ | Fault.Stuck_at_1 _ | Fault.Intermittent _ -> ())
-      faults
+  (* Control leaks first.  Leak chains propagate (a->b, b->c): iterate to a
+     fixed point; the commanded state of the aggressor is what actuates the
+     leak, but a victim closed by a leak also pressurises its own control
+     channel, so closure propagates transitively. *)
+  while leak_pass states false faults do
+    ()
   done;
-  List.iter
-    (fun f ->
-      match f with
-      | Fault.Stuck_at_1 v -> states.(v) <- true
-      | Fault.Stuck_at_0 _ | Fault.Control_leak _ | Fault.Intermittent _ -> ())
-    faults;
-  List.iter
-    (fun f ->
-      match f with
-      | Fault.Stuck_at_0 v -> states.(v) <- false
-      | Fault.Stuck_at_1 _ | Fault.Control_leak _ | Fault.Intermittent _ -> ())
-    faults
+  force_stuck states true faults;
+  force_stuck states false faults
+
+(* Only a fault's victim — the stuck valve, or the leak's victim — can
+   leave its commanded state: [true] iff one of them did. *)
+let rec deviates states open_valves = function
+  | [] -> false
+  | f :: rest -> (
+    match Fault.underlying f with
+    | Fault.Stuck_at_0 v | Fault.Stuck_at_1 v | Fault.Control_leak (_, v) ->
+      states.(v) <> open_valves.(v) || deviates states open_valves rest
+    | Fault.Intermittent _ -> assert false)
 
 let effective_states fpva ~faults ~open_valves =
   let states = Array.make (Array.length open_valves) false in
@@ -71,22 +86,30 @@ let make fpva =
 
 let handle_fpva h = h.h_fpva
 
-(* Simulate into the handle's observation buffer; callers must consume it
-   before the next application on the same handle. *)
-let respond h ~faults ~open_valves =
-  effective_states_into h.h_fpva ~faults ~open_valves h.states;
+let sweep h =
   let states = h.states in
   Graph.pressurized_into h.comp h.scratch
     ~open_valve:(fun vid -> states.(vid))
     ~into:h.obs
 
-let apply_vector_h h ~faults (v : Tv.t) =
-  respond h ~faults ~open_valves:v.Tv.open_valves;
-  Array.copy h.obs
+(* The scalar twin of [batch_detects]'s deviation skip: when every valve
+   keeps its commanded state the chip drives the fault-free valve states,
+   so the observation is [v]'s golden response by definition and the
+   sweep is skipped. *)
+let response_h h ~faults (v : Tv.t) =
+  let ov = v.Tv.open_valves in
+  effective_states_into h.h_fpva ~faults ~open_valves:ov h.states;
+  if deviates h.states ov faults then begin
+    sweep h;
+    h.obs
+  end
+  else v.Tv.golden
+
+let apply_vector_h h ~faults v = Array.copy (response_h h ~faults v)
 
 let detects_h h ~faults (v : Tv.t) =
-  respond h ~faults ~open_valves:v.Tv.open_valves;
-  h.obs <> v.Tv.golden
+  let obs = response_h h ~faults v in
+  obs != v.Tv.golden && obs <> v.Tv.golden
 
 (* ---------- bit-parallel batch handle ---------- *)
 
@@ -235,7 +258,8 @@ let batch_detects b ~alive (v : Tv.t) =
 
 let response fpva ~faults ~open_valves =
   let h = make fpva in
-  respond h ~faults ~open_valves;
+  effective_states_into fpva ~faults ~open_valves h.states;
+  sweep h;
   h.obs
 
 let apply_vector fpva ~faults (v : Tv.t) =

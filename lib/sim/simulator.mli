@@ -42,13 +42,26 @@ val make : Fpva.t -> handle
 
 val handle_fpva : handle -> Fpva.t
 
+val response_h :
+  handle -> faults:Fault.t list -> Fpva_testgen.Test_vector.t -> bool array
+(** The observed response of one test vector, {e borrowed}: when no
+    fault's victim leaves its commanded state, the chip drives the
+    fault-free valve states, and the result is [v.golden] itself with no
+    pressure sweep (the invariant documented on
+    {!Fpva_testgen.Test_vector.t}); otherwise it is the handle's
+    observation buffer, overwritten by the next application on the same
+    handle.  Never mutate the result; copy it to keep it.  The read that
+    {!apply_vector_h}, {!detects_h} and {!Measurement} share.
+    Allocation-free. *)
+
 val apply_vector_h :
   handle -> faults:Fault.t list -> Fpva_testgen.Test_vector.t -> bool array
+(** A fresh copy of {!response_h}. *)
 
 val detects_h :
   handle -> faults:Fault.t list -> Fpva_testgen.Test_vector.t -> bool
-(** Allocation-free: simulates into the handle's buffers and compares
-    against the vector's golden response in place. *)
+(** Does {!response_h} differ from the vector's golden response?
+    Allocation-free. *)
 
 (** {2 Bit-parallel batch handle}
 

@@ -86,18 +86,19 @@ let separates t ~closed_edge =
     (Fpva.ports t);
   !ok
 
-(* Does vector [v] detect [faults]?  The simulator's effective valve states
-   under the faults, walked by the reference BFS above instead of the
-   compiled one. *)
-let detects t ~faults (v : Fpva_testgen.Test_vector.t) =
+(* The response to vector [v] under [faults]: the simulator's effective
+   valve states, walked by the reference BFS above instead of the compiled
+   one — and always walked, with no shortcut for non-deviating reads. *)
+let response t ~faults (v : Fpva_testgen.Test_vector.t) =
   let states =
     Fpva_sim.Simulator.effective_states t ~faults
       ~open_valves:v.Fpva_testgen.Test_vector.open_valves
   in
-  let observed =
-    pressurized_sinks t ~open_edge:(fun e ->
-        match Fpva.valve_id_opt t e with
-        | Some vid -> states.(vid)
-        | None -> true)
-  in
-  observed <> v.Fpva_testgen.Test_vector.golden
+  pressurized_sinks t ~open_edge:(fun e ->
+      match Fpva.valve_id_opt t e with
+      | Some vid -> states.(vid)
+      | None -> true)
+
+(* Does vector [v] detect [faults]? *)
+let detects t ~faults (v : Fpva_testgen.Test_vector.t) =
+  response t ~faults v <> v.Fpva_testgen.Test_vector.golden

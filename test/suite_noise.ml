@@ -23,7 +23,7 @@ let measurement_tests =
         let t = sample_layout () in
         let r = Pipeline.run_exn t in
         let m = Measurement.ideal t in
-        let rng = Rng.create 11 in
+        let rng = Rng.create 11 and h = Simulator.make t in
         checkb "ideal" true (Measurement.is_ideal m);
         List.iter
           (fun v ->
@@ -33,7 +33,7 @@ let measurement_tests =
                   Alcotest.(array bool)
                   "same response"
                   (Simulator.apply_vector t ~faults v)
-                  (Measurement.apply_vector m rng t ~faults v))
+                  (Measurement.apply_vector_h m rng h ~faults v))
               [ []; [ Fault.Stuck_at_0 0 ]; [ Fault.Stuck_at_1 3 ] ])
           r.Pipeline.vectors);
     case "ideal measurement consumes no randomness" (fun () ->
@@ -41,9 +41,9 @@ let measurement_tests =
         let r = Pipeline.run_exn t in
         let m = Measurement.ideal t in
         let rng_a = Rng.create 5 and rng_b = Rng.create 5 in
+        let h = Simulator.make t in
         List.iter
-          (fun v ->
-            ignore (Measurement.apply_vector m rng_a t ~faults:[] v))
+          (fun v -> ignore (Measurement.apply_vector_h m rng_a h ~faults:[] v))
           r.Pipeline.vectors;
         checki "stream untouched" (Rng.int rng_b 1_000_000)
           (Rng.int rng_a 1_000_000));
@@ -61,11 +61,12 @@ let measurement_tests =
         let t = sample_layout () in
         let r = Pipeline.run_exn t in
         let m = Measurement.uniform t ~false_pass:0.2 ~false_fail:0.2 in
+        let h = Simulator.make t in
         let readout seed =
           let rng = Rng.create seed in
           List.map
             (fun v ->
-              Array.to_list (Measurement.apply_vector m rng t ~faults:[] v))
+              Array.to_list (Measurement.apply_vector_h m rng h ~faults:[] v))
             r.Pipeline.vectors
         in
         checkb "equal seeds, equal readings" true (readout 9 = readout 9);
@@ -82,11 +83,11 @@ let measurement_tests =
         let t = sample_layout () in
         let r = Pipeline.run_exn t in
         let m = Measurement.uniform t ~false_pass:0.9 ~false_fail:0.0 in
-        let rng = Rng.create 3 in
+        let rng = Rng.create 3 and h = Simulator.make t in
         List.iter
           (fun v ->
             checkb "no phantom failure" false
-              (Measurement.detects m rng t ~faults:[] v))
+              (Measurement.detects_h m rng h ~faults:[] v))
           r.Pipeline.vectors);
     case "vector-level flip probabilities" (fun () ->
         let t = sample_layout () in
@@ -116,6 +117,9 @@ let intermittent_tests =
         checkb "p=1 always active" true
           (Fault.resolve rng [ Fault.intermittent ~probability:1.0 base ]
           = [ base ]);
+        let permanent = [ base; Fault.Stuck_at_1 2 ] in
+        checkb "a permanent list comes back as it is" true
+          (Fault.resolve rng permanent == permanent);
         let hits = ref 0 in
         for _ = 1 to 1000 do
           match
@@ -163,10 +167,10 @@ let intermittent_tests =
           | None -> Alcotest.fail "SA0(0) undetected by the suite"
         in
         let m = Measurement.ideal t in
-        let rng = Rng.create 23 in
+        let rng = Rng.create 23 and h = Simulator.make t in
         let fired = ref 0 in
         for _ = 1 to 200 do
-          if Measurement.detects m rng t ~faults:[ f ] v then incr fired
+          if Measurement.detects_h m rng h ~faults:[ f ] v then incr fired
         done;
         checkb "sporadic, not permanent" true (!fired > 50 && !fired < 150));
   ]
@@ -361,13 +365,14 @@ let robustness_tests =
         let faults = Diagnosis.single_faults t in
         let dict = Diagnosis.build t ~vectors ~faults in
         let m = Measurement.uniform t ~false_pass:0.03 ~false_fail:0.03 in
+        let h = Simulator.make t in
         List.iter
           (fun injected ->
             let rng = Rng.create 41 in
             let session =
               Retest.run (Retest.policy 5)
                 ~read:(fun v _ ->
-                  Measurement.detects m rng t ~faults:[ injected ] v)
+                  Measurement.detects_h m rng h ~faults:[ injected ] v)
                 vectors
             in
             let observed =
@@ -489,6 +494,114 @@ let reproducibility_tests =
           res.Campaign.rows);
   ]
 
+(* The scalar read returns the golden response, borrowed, when no fault
+   moves a valve off its commanded state, and [Measurement.detects_h]
+   reads the meters in place over it; these pin that the shortcut changes
+   neither a verdict nor a draw. *)
+let scalar_read_tests =
+  [
+    case "detects_h draws and decides as apply_vector_h does" (fun () ->
+        let t = sample_layout () in
+        let r = Pipeline.run_exn t in
+        let a, b = (Fault.adjacent_pairs t).(0) in
+        let int p f = Fault.intermittent ~probability:p f in
+        let permanent =
+          [ []; [ Fault.Stuck_at_0 0 ]; [ Fault.Stuck_at_1 3 ];
+            [ Fault.Control_leak (a, b) ];
+            [ Fault.Stuck_at_1 7; Fault.Stuck_at_0 2;
+              Fault.Control_leak (b, a) ] ]
+        and intermittent =
+          [ [ int 0.5 (Fault.Stuck_at_0 0) ];
+            [ int 0.3 (Fault.Control_leak (a, b)); Fault.Stuck_at_1 3 ];
+            [ int 0.7 (int 0.6 (Fault.Stuck_at_1 5));
+              int 1.0 (Fault.Stuck_at_0 9) ] ]
+        in
+        List.iter
+          (fun rate ->
+            let m = Measurement.uniform t ~false_pass:rate ~false_fail:rate in
+            List.iter
+              (fun faults ->
+                let rng_d = Rng.create 21 and rng_a = Rng.create 21 in
+                let h_d = Simulator.make t and h_a = Simulator.make t in
+                List.iter
+                  (fun v ->
+                    for _ = 1 to 3 do
+                      let d = Measurement.detects_h m rng_d h_d ~faults v in
+                      let obs =
+                        Measurement.apply_vector_h m rng_a h_a ~faults v
+                      in
+                      checkb
+                        (Printf.sprintf "rate %g: same verdict" rate)
+                        (obs <> v.Test_vector.golden) d;
+                      checki
+                        (Printf.sprintf "rate %g: streams stay equal" rate)
+                        (Rng.bits53 rng_a) (Rng.bits53 rng_d)
+                    done)
+                  r.Pipeline.vectors)
+              (permanent @ intermittent))
+          [ 0.0; 0.02; 1.0 ]);
+    case "a non-deviating noisy read allocates nothing" (fun () ->
+        (* Only native code keeps the draws and the state unboxed. *)
+        if Sys.backend_type = Sys.Native then begin
+          let t = sample_layout () in
+          let r = Pipeline.run_exn t in
+          let v = List.hd r.Pipeline.vectors in
+          let ov = v.Test_vector.open_valves in
+          let first state =
+            let rec go i = if ov.(i) = state then i else go (i + 1) in
+            go 0
+          in
+          (* Stuck open on an open valve, stuck closed on a closed one: every
+             valve keeps its commanded state. *)
+          let faults =
+            [ Fault.Stuck_at_1 (first true); Fault.Stuck_at_0 (first false) ]
+          in
+          checkb "faults keep the commanded states" true
+            (Simulator.effective_states t ~faults ~open_valves:ov = ov);
+          let m = Measurement.uniform t ~false_pass:0.02 ~false_fail:0.02 in
+          let rng = Rng.create 3 and h = Simulator.make t in
+          let before = Gc.minor_words () in
+          for _ = 1 to 10_000 do
+            ignore
+              (Sys.opaque_identity (Measurement.detects_h m rng h ~faults v))
+          done;
+          let w = (Gc.minor_words () -. before) /. 10_000.0 in
+          checkb (Printf.sprintf "%.2f words per read" w) true (w < 1.0)
+        end);
+    case "pinned noisy rows at the field screening shape (10x10, noise 0.02)"
+      (fun () ->
+        (* The shape of the benchmark's screening phase — every fault class,
+           1..5 faults, 3 reads — where most reads deviate nowhere and take
+           the golden shortcut.  The digest covers every row's rendering;
+           update it deliberately, never casually. *)
+        let t = Layouts.paper_array 10 in
+        let r = Pipeline.run_exn t in
+        let config =
+          { Campaign.base =
+              { Campaign.trials = 300; fault_counts = [ 1; 2; 3; 4; 5 ];
+                seed = 5;
+                classes = [ `Stuck_at_0; `Stuck_at_1; `Control_leak ] };
+            noise_levels = [ 0.02 ];
+            repeats = 3 }
+        in
+        List.iter
+          (fun jobs ->
+            let res =
+              Campaign.run_noisy ~config ~jobs t ~vectors:r.Pipeline.vectors
+            in
+            let text =
+              String.concat "\n"
+                (List.map
+                   (Format.asprintf "%a" Campaign.pp_noise_row)
+                   res.Campaign.noise_rows)
+            in
+            check Alcotest.string
+              (Printf.sprintf "rows digest at jobs=%d" jobs)
+              "131dda024a1769e2b6fe9198a9b1be89"
+              (Digest.to_hex (Digest.string text)))
+          [ 1; 2 ]);
+  ]
+
 let tests =
   measurement_tests @ intermittent_tests @ retest_tests @ identity_tests
-  @ robustness_tests @ reproducibility_tests
+  @ robustness_tests @ reproducibility_tests @ scalar_read_tests

@@ -18,6 +18,43 @@ let random_valve_mask rng t =
   in
   (mask, edge_pred)
 
+(* A fault placed against the commanded states [open_valves]: a stuck-at
+   fault on a commanded-open or a commanded-closed valve, or a control leak
+   whose aggressor is commanded open or closed; a third of them wrapped as
+   intermittent.  A side the states leave empty falls back to any valve. *)
+let random_fault rng t ~open_valves =
+  let module R = Fpva_util.Rng in
+  let nv = Fpva.num_valves t in
+  let pick = function
+    | [] -> None
+    | l -> Some (List.nth l (R.int rng (List.length l)))
+  in
+  let valve_with state =
+    Option.value ~default:(R.int rng nv)
+      (pick
+         (List.filter (fun v -> open_valves.(v) = state) (List.init nv Fun.id)))
+  in
+  let leak_with state =
+    pick
+      (List.filter
+         (fun (a, _) -> open_valves.(a) = state)
+         (Array.to_list (Fault.adjacent_pairs t)))
+  in
+  let base =
+    match R.int rng 6 with
+    | 0 -> Fault.Stuck_at_0 (valve_with true)
+    | 1 -> Fault.Stuck_at_0 (valve_with false)
+    | 2 -> Fault.Stuck_at_1 (valve_with true)
+    | 3 -> Fault.Stuck_at_1 (valve_with false)
+    | k -> (
+      match leak_with (k = 4) with
+      | Some (a, b) -> Fault.Control_leak (a, b)
+      | None -> Fault.Stuck_at_0 (valve_with true))
+  in
+  if R.int rng 3 = 0 then
+    Fault.intermittent ~probability:(R.float rng 1.0) base
+  else base
+
 let tests =
   [
     qcheck_layout ~count:60 "compiled pressurized_sinks matches the spec"
@@ -191,4 +228,38 @@ let tests =
                  (Simulator.detected_by_suite t ~faults:[ f ]
                     suite.Pipeline.vectors))
           (Diagnosis.single_faults t));
+    qcheck_layout ~count:60
+      "scalar read equals the oracle walk of the effective states" (fun t ->
+        (* The scalar read skips the sweep when no fault's victim leaves
+           its commanded state and answers with the golden response; the
+           oracle always walks.  Commanded states are random (half open,
+           near the percolation threshold, where one valve matters most),
+           with golden computed from them, and 1-3 faults of every class
+           and placement. *)
+        let module R = Fpva_util.Rng in
+        let rng = R.create 37 in
+        let h = Simulator.make t in
+        let nv = Fpva.num_valves t in
+        let ok = ref true in
+        for _ = 1 to 25 do
+          let open_valves = Array.init nv (fun _ -> R.bool rng) in
+          let v =
+            { Test_vector.label = "random";
+              kind =
+                Test_vector.Cut
+                  { Cut_set.valves = []; valve_ids = []; corners = [] };
+              open_valves;
+              golden = Test_vector.golden_response t ~open_valves }
+          in
+          let faults =
+            List.init (1 + R.int rng 3) (fun _ ->
+                random_fault rng t ~open_valves)
+          in
+          let observed = Simulator.apply_vector_h h ~faults v in
+          if observed <> Graph_oracle.response t ~faults v
+             || Simulator.detects_h h ~faults v
+                <> (observed <> v.Test_vector.golden)
+          then ok := false
+        done;
+        !ok);
   ]
