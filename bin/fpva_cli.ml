@@ -324,13 +324,11 @@ let parse_classes spec =
   else
     List.fold_left
       (fun acc name ->
-        match (acc, name) with
+        match (acc, Fpva_sim.Fault.class_of_name name) with
         | Error _, _ -> acc
-        | Ok cs, "sa0" -> Ok (cs @ [ `Stuck_at_0 ])
-        | Ok cs, "sa1" -> Ok (cs @ [ `Stuck_at_1 ])
-        | Ok cs, "leak" -> Ok (cs @ [ `Control_leak ])
-        | Ok _, other ->
-          Error (Printf.sprintf "unknown fault class %S (want sa0|sa1|leak)" other))
+        | Ok cs, Some c -> Ok (cs @ [ c ])
+        | Ok _, None ->
+          Error (Printf.sprintf "unknown fault class %S (want sa0|sa1|leak)" name))
       (Ok []) parts
 
 let noise_t =

@@ -65,6 +65,9 @@ val find_one : engine -> Problem.t -> weight:float array -> Problem.path option
     satisfies [Problem.path_ok]; exceptions raised by a [Custom] engine
     (other than asynchronous ones) are contained and reported as [None]. *)
 
+val default_salts : int list
+(** The search-engine salts a fallback tries, in order. *)
+
 val find_robust :
   ?budget:Budget.t ->
   ?stats:stats ->

@@ -1,40 +1,4 @@
 open Fpva_grid
-module Vec = Fpva_util.Vec
-
-let adjacent_pairs fpva =
-  let out = Vec.create () in
-  let nr = Fpva.rows fpva and nc = Fpva.cols fpva in
-  for r = 0 to nr - 1 do
-    for c = 0 to nc - 1 do
-      let cell = Coord.cell r c in
-      if Fpva.cell_state fpva cell = Fpva.Fluid then begin
-        let incident =
-          List.filter_map
-            (fun d ->
-              let e = Coord.edge_towards cell d in
-              if Fpva.edge_in_bounds fpva e then Fpva.valve_id_opt fpva e
-              else None)
-            Coord.all_dirs
-        in
-        List.iter
-          (fun a ->
-            List.iter (fun b -> if a <> b then Vec.push out (a, b)) incident)
-          incident
-      end
-    done
-  done;
-  (* A pair of valves shares two cells when they are parallel neighbours;
-     keep each ordered pair once. *)
-  let seen = Hashtbl.create 256 in
-  let uniq = Vec.create () in
-  Vec.iter
-    (fun p ->
-      if not (Hashtbl.mem seen p) then begin
-        Hashtbl.add seen p ();
-        Vec.push uniq p
-      end)
-    out;
-  Vec.to_array uniq
 
 let on_path_set fpva (path : Flow_path.t) =
   let set = Array.make (Fpva.num_valves fpva) false in
@@ -67,7 +31,8 @@ let residual_after fpva pairs paths =
   List.filter (fun p -> Hashtbl.mem remaining p) (Array.to_list pairs)
 
 let residual_pairs fpva ~existing =
-  residual_after fpva (adjacent_pairs fpva) existing
+  residual_after fpva (Control.leak_pairs fpva Control.Fluid_adjacency)
+    existing
 
 (* One attempt: a flow path that must include victim [b] while aggressor [a]
    is removed from the graph (held closed).  Unit weights on the other
@@ -97,7 +62,9 @@ let attempt ?budget ?stats engine fpva remaining (a, b) =
 let generate ?(engine = Cover.default_engine) ?pairs
     ?(budget = Budget.unlimited) ?stats fpva ~existing =
   let pairs =
-    match pairs with Some ps -> ps | None -> adjacent_pairs fpva
+    match pairs with
+    | Some ps -> ps
+    | None -> Control.leak_pairs fpva Control.Fluid_adjacency
   in
   let remaining = ref (residual_after fpva pairs existing) in
   let impossible = ref [] in

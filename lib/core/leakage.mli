@@ -20,15 +20,13 @@
 
 open Fpva_grid
 
-val adjacent_pairs : Fpva.t -> (int * int) array
-(** All ordered pairs of distinct valves sharing a fluid cell. *)
-
 val exercised_by : Fpva.t -> Flow_path.t -> (int * int) -> bool
 (** Is the pair (aggressor, victim) exercised by this path's vector? *)
 
 val residual_pairs :
   Fpva.t -> existing:Flow_path.t list -> (int * int) list
-(** Pairs not exercised by any of the given flow paths. *)
+(** Fluid-adjacency pairs ({!Fpva_grid.Control.leak_pairs}) not exercised
+    by any of the given flow paths. *)
 
 val generate :
   ?engine:Cover.engine ->
@@ -41,8 +39,8 @@ val generate :
 (** Additional leakage paths covering the residual pairs, plus the pairs
     that cannot be exercised at all (victim unreachable once its aggressor
     is held closed).  [pairs] overrides the pair model (default
-    {!adjacent_pairs}); use {!Fpva_grid.Control.leak_pairs} for a routed
-    control-layer architecture.  Engine calls go through
-    {!Cover.find_robust}; when [budget] runs out, the not-yet-attempted
-    residual pairs are reported in the second component unless a generated
-    vector happens to exercise them. *)
+    {!Fpva_grid.Control.leak_pairs} under [Fluid_adjacency]); pass another
+    routing's pairs for a routed control-layer architecture.  Engine calls
+    go through {!Cover.find_robust}; when [budget] runs out, the
+    not-yet-attempted residual pairs are reported in the second component
+    unless a generated vector happens to exercise them. *)

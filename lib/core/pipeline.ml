@@ -202,9 +202,7 @@ and run_validated config budget fpva =
               match existing with
               | Some p -> Either.Left (p, v)
               | None -> (
-                match
-                  List.find_map (fresh_path v) [ 17; 7919; 104729 ]
-                with
+                match List.find_map (fresh_path v) Cover.default_salts with
                 | Some p -> Either.Left (p, v)
                 | None -> Either.Right v))
             leftover

@@ -16,6 +16,7 @@ type t = {
   valve_edges : Coord.edge array;
   source_nodes : int array;
   sink_node_mask : bool array;
+  leak_pairs : (int * int) array option Atomic.t;
   spare : scratch option Atomic.t;
 }
 
@@ -93,6 +94,7 @@ let of_fpva fpva =
     valve_edges = Fpva.valves fpva;
     source_nodes = Array.of_list (List.rev !source_nodes);
     sink_node_mask;
+    leak_pairs = Atomic.make None;
     spare = Atomic.make None;
   }
 
@@ -131,6 +133,16 @@ let valve_edge t i = t.valve_edges.(i)
 let source_nodes t = t.source_nodes
 
 let sink_node_mask t = t.sink_node_mask
+
+(* Built on first use: only leak-class fault draws need it.  Two domains
+   racing here both build the same table, and either may be kept. *)
+let leak_pairs t =
+  match Atomic.get t.leak_pairs with
+  | Some pairs -> pairs
+  | None ->
+    let pairs = Control.leak_pairs t.fpva Control.Fluid_adjacency in
+    Atomic.set t.leak_pairs (Some pairs);
+    pairs
 
 let create_scratch t =
   { queue = Array.make (max t.num_nodes 1) 0;

@@ -77,6 +77,11 @@ val sink_node_mask : t -> bool array
 (** Per node id: is it a sink-port node?  (Early-exit test for
     separation checks.) *)
 
+val leak_pairs : t -> (int * int) array
+(** [Control.leak_pairs] under [Fluid_adjacency], built on the first call
+    and kept with the compilation: the table fault draws pick control
+    leaks from.  Shared; do not mutate. *)
+
 (** {2 Scratch buffers}
 
     A BFS needs a worklist and a visited set.  [scratch] holds both as

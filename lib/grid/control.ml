@@ -43,15 +43,8 @@ let fluid_pairs fpva =
       end
     done
   done;
-  let seen = Hashtbl.create 256 in
-  List.filter
-    (fun p ->
-      if Hashtbl.mem seen p then false
-      else begin
-        Hashtbl.add seen p ();
-        true
-      end)
-    (List.rev !out)
+  (* Two distinct valves share at most one cell, so no pair repeats. *)
+  List.rev !out
 
 (* Manifold routing: channels in the same or adjacent tracks leak where
    they run side by side — both channels span [0, extent], so two channels

@@ -10,15 +10,13 @@ let truncations_c = Trace.counter "bb.truncations"
 type options = {
   max_nodes : int;
   time_limit : float;
-  integrality_eps : float;
   presolve : bool;
   lp_iteration_limit : int option;
-  log : (string -> unit) option;
 }
 
 let default_options =
-  { max_nodes = 200_000; time_limit = infinity; integrality_eps = 1e-6;
-    presolve = true; lp_iteration_limit = None; log = None }
+  { max_nodes = 200_000; time_limit = infinity; presolve = true;
+    lp_iteration_limit = None }
 
 type outcome =
   | Optimal of Simplex.solution
@@ -27,18 +25,21 @@ type outcome =
   | Unbounded
   | Unknown
 
+(* A value this close to an integer counts as integral. *)
+let integrality_eps = 1e-6
+
 type node = { lower : float array; upper : float array; depth : int }
 
 (* Most-fractional branching: the integer variable whose LP value is closest
    to .5 splits the domain most evenly. *)
-let pick_branch_var lp eps values =
+let pick_branch_var lp values =
   let best = ref None in
   for j = 0 to Lp.num_vars lp - 1 do
     let v = Lp.var_of_index lp j in
     if Lp.is_integral_kind (Lp.var_kind lp v) then begin
       let x = values.(j) in
       let frac = x -. Float.round x in
-      if abs_float frac > eps then begin
+      if abs_float frac > integrality_eps then begin
         let score = abs_float (abs_float frac -. 0.5) in
         match !best with
         | Some (_, s) when s <= score -> ()
@@ -90,10 +91,7 @@ let solve ?(options = default_options) lp =
     if better sense obj !incumbent_obj then begin
       Trace.incr incumbents_c;
       incumbent := Some { Simplex.objective = obj; values = x };
-      incumbent_obj := obj;
-      match options.log with
-      | Some f -> f (Printf.sprintf "incumbent %.6g" obj)
-      | None -> ()
+      incumbent_obj := obj
     end
   in
   let stack = ref [ { lower = root_lower; upper = root_upper; depth = 0 } ] in
@@ -104,7 +102,6 @@ let solve ?(options = default_options) lp =
     if options.time_limit = infinity then infinity
     else Fpva_util.Timer.now () +. options.time_limit
   in
-  let eps = options.integrality_eps in
   let rec loop () =
     match !stack with
     | [] -> ()
@@ -137,7 +134,7 @@ let solve ?(options = default_options) lp =
           in
           if prune then Trace.incr prunes_c
           else begin
-            match pick_branch_var lp eps sol.values with
+            match pick_branch_var lp sol.values with
             | None -> accept sol.values
             | Some j ->
               (match try_rounding lp node sol.values with

@@ -8,18 +8,17 @@
 type options = {
   max_nodes : int;  (** node budget; the search stops cleanly when hit *)
   time_limit : float;  (** seconds of wall clock; [infinity] disables *)
-  integrality_eps : float;
   presolve : bool;  (** run {!Presolve.bounds} on the root node *)
   lp_iteration_limit : int option;
       (** simplex pivot cap per node LP ([None] = solver default); a node
           hitting it is treated as unexplored, so the result degrades to
           [Feasible]/[Unknown] instead of becoming wrong *)
-  log : (string -> unit) option;  (** per-improvement trace hook *)
 }
+(** A value within [1e-6] of an integer counts as integral; each
+    improved incumbent ticks the [bb.incumbents] Trace counter. *)
 
 val default_options : options
-(** 200 000 nodes, no time limit, [1e-6] integrality, presolve on, no LP
-    pivot cap, no logging. *)
+(** 200 000 nodes, no time limit, presolve on, no LP pivot cap. *)
 
 type outcome =
   | Optimal of Simplex.solution  (** proven optimal *)

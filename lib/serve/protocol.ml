@@ -45,7 +45,7 @@ type campaign_options = {
   trials : int;
   seed : int;
   max_faults : int;
-  classes : [ `Stuck_at_0 | `Stuck_at_1 | `Control_leak ] list;
+  classes : Fpva_sim.Fault.fault_class list;
   jobs : int;
 }
 
@@ -70,17 +70,6 @@ type envelope = {
   idempotency_key : string option;
   request : request;
 }
-
-let class_name = function
-  | `Stuck_at_0 -> "sa0"
-  | `Stuck_at_1 -> "sa1"
-  | `Control_leak -> "leak"
-
-let class_of_name = function
-  | "sa0" -> Some `Stuck_at_0
-  | "sa1" -> Some `Stuck_at_1
-  | "leak" -> Some `Control_leak
-  | _ -> None
 
 let ( let* ) = Result.bind
 
@@ -125,7 +114,7 @@ let classes_of_json json =
         let* cs = acc in
         match x with
         | Json.String name -> (
-          match class_of_name name with
+          match Fpva_sim.Fault.class_of_name name with
           | Some c -> Ok (cs @ [ c ])
           | None ->
             Error
@@ -227,7 +216,9 @@ let request_to_json { id; deadline_ms; idempotency_key; request } =
         ("max_faults", Json.Int campaign.max_faults);
         ("classes",
          Json.List
-           (List.map (fun c -> Json.String (class_name c)) campaign.classes));
+           (List.map
+              (fun c -> Json.String (Fpva_sim.Fault.class_name c))
+              campaign.classes));
         ("jobs", Json.Int campaign.jobs) ]
   in
   Json.Obj (envelope @ op_fields)

@@ -46,7 +46,7 @@ type campaign_options = {
   trials : int;
   seed : int;
   max_faults : int;
-  classes : [ `Stuck_at_0 | `Stuck_at_1 | `Control_leak ] list;
+  classes : Fpva_sim.Fault.fault_class list;
   jobs : int;
 }
 

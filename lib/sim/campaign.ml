@@ -13,7 +13,7 @@ type config = {
   trials : int;
   fault_counts : int list;
   seed : int;
-  classes : [ `Stuck_at_0 | `Stuck_at_1 | `Control_leak ] list;
+  classes : Fault.fault_class list;
 }
 
 let default_config =
@@ -171,12 +171,7 @@ let rows_and_truncated keys grid ~row_of =
 module Enc = Fpva_util.Journal.Enc
 module Dec = Fpva_util.Journal.Dec
 
-let classes_tag classes =
-  String.concat ","
-    (List.map
-       (function
-         | `Stuck_at_0 -> "sa0" | `Stuck_at_1 -> "sa1" | `Control_leak -> "leak")
-       classes)
+let classes_tag classes = String.concat "," (List.map Fault.class_name classes)
 
 (* The key pins everything the rows depend on — canonical layout, suite
    text, trial counts, seed, classes — and deliberately NOT [jobs]: rows
@@ -260,12 +255,13 @@ let run ?(config = default_config) ?(jobs = 1) ?budget ?checkpoint fpva
     ~vectors =
   check "run" ~jobs config;
   let t0 = Timer.now () in
-  (* Force the layout's compiled form (and valve tables) before any domain
-     spawns: workers only ever read the caches.  One compiled handle per
-     worker serves every trial it runs; re-deriving adjacency per
-     application was the dominating cost of the paper's 10 000-trial
-     experiment. *)
+  (* Force the layout's compiled form (and valve tables, and the leak-pair
+     table when leaks are drawn) before any domain spawns: workers only
+     ever read the caches.  One compiled handle per worker serves every
+     trial it runs; re-deriving adjacency per application was the
+     dominating cost of the paper's 10 000-trial experiment. *)
   ignore (Simulator.make fpva);
+  ignore (Fault.feasible_classes fpva config.classes);
   let counts = Array.of_list config.fault_counts in
   let trials = config.trials in
   (* Trial [i] of row [r] is item [g = r * trials + i] and draws from
@@ -509,6 +505,7 @@ let run_noisy ?(config = default_noise_config) ?(jobs = 1) ?budget
   in
   ignore (meters_of ());
   ignore (Simulator.make fpva);
+  ignore (Fault.feasible_classes fpva base.classes);
   (* Row keys in run order: the outer sweep is by noise level, inner by
      fault count, so item [g = (level * counts + fc) * trials + i]. *)
   let row_keys =

@@ -24,7 +24,7 @@ type config = {
   trials : int;  (** repetitions per fault count (paper: 10 000) *)
   fault_counts : int list;  (** paper: [1; 2; 3; 4; 5] *)
   seed : int;
-  classes : [ `Stuck_at_0 | `Stuck_at_1 | `Control_leak ] list;
+  classes : Fault.fault_class list;
       (** fault classes to draw from; the paper's experiment uses stuck-at
           faults ([`Stuck_at_0; `Stuck_at_1]) *)
 }
@@ -35,7 +35,7 @@ val default_config : config
 val draw_faults :
   Fpva_util.Rng.t ->
   Fpva_grid.Fpva.t ->
-  classes:[ `Stuck_at_0 | `Stuck_at_1 | `Control_leak ] list ->
+  classes:Fault.fault_class list ->
   count:int ->
   Fault.t list
 (** Distinct faults for one trial (no valve reuse across the drawn set).

@@ -7,6 +7,19 @@ type t =
   | Control_leak of int * int
   | Intermittent of t * float
 
+type fault_class = [ `Stuck_at_0 | `Stuck_at_1 | `Control_leak ]
+
+let class_name = function
+  | `Stuck_at_0 -> "sa0"
+  | `Stuck_at_1 -> "sa1"
+  | `Control_leak -> "leak"
+
+let class_of_name = function
+  | "sa0" -> Some `Stuck_at_0
+  | "sa1" -> Some `Stuck_at_1
+  | "leak" -> Some `Control_leak
+  | _ -> None
+
 let equal a b = a = b
 
 let rec pp ppf = function
@@ -31,28 +44,13 @@ let intermittent ~probability f =
     invalid_arg "Fault.intermittent: probability outside [0,1]";
   Intermittent (f, probability)
 
-(* Valves incident to one fluid cell (the candidate leak neighbourhoods). *)
-let incident_valves fpva cell =
-  List.filter_map
-    (fun d ->
-      let e = Coord.edge_towards cell d in
-      if Fpva.edge_in_bounds fpva e then Fpva.valve_id_opt fpva e else None)
-    Coord.all_dirs
-
+(* Only [a]'s two cells can be shared with [b]. *)
 let shares_fluid_cell fpva a b =
-  let exception Found in
-  try
-    for r = 0 to Fpva.rows fpva - 1 do
-      for c = 0 to Fpva.cols fpva - 1 do
-        let cell = Coord.cell r c in
-        if Fpva.cell_state fpva cell = Fpva.Fluid then begin
-          let incident = incident_valves fpva cell in
-          if List.mem a incident && List.mem b incident then raise Found
-        end
-      done
-    done;
-    false
-  with Found -> true
+  let b1, b2 = Coord.edge_endpoints (Fpva.edge_of_valve fpva b) in
+  let a1, a2 = Coord.edge_endpoints (Fpva.edge_of_valve fpva a) in
+  List.exists
+    (fun c -> (c = b1 || c = b2) && Fpva.cell_state fpva c = Fpva.Fluid)
+    [ a1; a2 ]
 
 let rec validate fpva f =
   let nv = Fpva.num_valves fpva in
@@ -68,7 +66,7 @@ let rec validate fpva f =
   | Control_leak (a, b) when a = b ->
     Error (Printf.sprintf "%s: leak pair must be distinct" (to_string f))
   | Control_leak (a, b) when not (shares_fluid_cell fpva a b) ->
-    (* The leak model (and [adjacent_pairs] generation) is defined only
+    (* The leak model (and the [adjacent_pairs] table) is defined only
        over control channels meeting at a fluid cell; anything else is a
        physically impossible fault and must be refused, not simulated. *)
     Error
@@ -106,32 +104,22 @@ let random rng fpva =
   let v = Rng.int rng nv in
   if Rng.bool rng then Stuck_at_0 v else Stuck_at_1 v
 
-(* Adjacent valve pairs: valves sharing a fluid cell. *)
+(* Control's fluid-adjacency table, cached on the layout's compilation.
+   Draws read it back to front: reversed is the order [Rng.pick] has
+   always drawn leaks in, so the fault streams are unchanged. *)
+let leak_table fpva = Compiled.leak_pairs (Compiled.get fpva)
+
 let adjacent_pairs fpva =
-  let out = ref [] in
-  for r = 0 to Fpva.rows fpva - 1 do
-    for c = 0 to Fpva.cols fpva - 1 do
-      let cell = Coord.cell r c in
-      if Fpva.cell_state fpva cell = Fpva.Fluid then begin
-        let incident = incident_valves fpva cell in
-        List.iter
-          (fun a ->
-            List.iter
-              (fun b -> if a <> b then out := (a, b) :: !out)
-              incident)
-          incident
-      end
-    done
-  done;
-  Array.of_list !out
+  let pairs = leak_table fpva in
+  let n = Array.length pairs in
+  Array.init n (fun i -> pairs.(n - 1 - i))
 
 let feasible_classes fpva classes =
   let nv = Fpva.num_valves fpva in
-  let has_pairs = lazy (Array.length (adjacent_pairs fpva) > 0) in
   List.filter
     (function
       | `Stuck_at_0 | `Stuck_at_1 -> nv > 0
-      | `Control_leak -> Lazy.force has_pairs)
+      | `Control_leak -> Array.length (leak_table fpva) > 0)
     classes
 
 let random_of_classes rng fpva ~classes =
@@ -150,7 +138,9 @@ let random_of_classes rng fpva ~classes =
       | `Stuck_at_0 -> Stuck_at_0 (Rng.int rng nv)
       | `Stuck_at_1 -> Stuck_at_1 (Rng.int rng nv)
       | `Control_leak ->
-        let a, b = Rng.pick rng (adjacent_pairs fpva) in
+        let pairs = leak_table fpva in
+        let n = Array.length pairs in
+        let a, b = pairs.(n - 1 - Rng.int rng n) in
         Control_leak (a, b)))
 
 let random_multi rng fpva ~count =

@@ -24,6 +24,16 @@ type t =
   | Control_leak of int * int
   | Intermittent of t * float
 
+type fault_class = [ `Stuck_at_0 | `Stuck_at_1 | `Control_leak ]
+(** The classes a campaign draws faults from. *)
+
+val class_name : fault_class -> string
+(** ["sa0"], ["sa1"] or ["leak"]: the one spelling the CLI, the wire
+    protocol and checkpoint keys use. *)
+
+val class_of_name : string -> fault_class option
+(** Inverse of {!class_name}. *)
+
 val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
@@ -64,21 +74,16 @@ val random : Fpva_util.Rng.t -> Fpva.t -> t
 
 val adjacent_pairs : Fpva.t -> (int * int) array
 (** Ordered pairs of distinct valves sharing a fluid cell — the universe
-    [Control_leak] instances are drawn from and validated against. *)
+    [Control_leak] instances are drawn from and validated against — in
+    draw order: [Control.leak_pairs fpva Fluid_adjacency] reversed. *)
 
-val feasible_classes :
-  Fpva.t ->
-  [ `Stuck_at_0 | `Stuck_at_1 | `Control_leak ] list ->
-  [ `Stuck_at_0 | `Stuck_at_1 | `Control_leak ] list
+val feasible_classes : Fpva.t -> fault_class list -> fault_class list
 (** The subset of [classes] this layout can instantiate: stuck-at classes
     need at least one valve, [`Control_leak] at least one adjacent valve
     pair (order preserved, duplicates kept). *)
 
 val random_of_classes :
-  Fpva_util.Rng.t ->
-  Fpva.t ->
-  classes:[ `Stuck_at_0 | `Stuck_at_1 | `Control_leak ] list ->
-  t
+  Fpva_util.Rng.t -> Fpva.t -> classes:fault_class list -> t
 (** Random fault drawn from the {e feasible} subset of the given classes
     (class first, then instance) — an infeasible class (e.g.
     [`Control_leak] on a layout with no adjacent valve pair) is excluded

@@ -13,7 +13,7 @@ type config = {
   wear_steps : int;
   retest_every : int;
   fault_count : int;
-  classes : [ `Stuck_at_0 | `Stuck_at_1 | `Control_leak ] list;
+  classes : Fault.fault_class list;
   p0 : float;
   growth : float;
   noise : float;
@@ -109,6 +109,7 @@ let run ?(jobs = 1) ?(config = default_config) fpva ~vectors =
       (* Warm the grid's shared caches before any domain spawns (the same
          discipline as Campaign/Diagnosis pool bodies). *)
       ignore (Simulator.make fpva);
+      ignore (Fault.feasible_classes fpva config.classes);
       let meter =
         Measurement.uniform fpva ~false_pass:config.noise
           ~false_fail:config.noise

@@ -25,7 +25,7 @@ type config = {
   fault_count : int;
       (** latent faults per chip; 0 makes the whole fleet healthy (any
           detection is then a false alarm — a noise-floor control) *)
-  classes : [ `Stuck_at_0 | `Stuck_at_1 | `Control_leak ] list;
+  classes : Fault.fault_class list;
   p0 : float;  (** activation probability after one wear step's worth *)
   growth : float;  (** multiplicative wear per step; > 1 ages the chip *)
   noise : float;  (** meter false-pass = false-fail rate *)

@@ -390,7 +390,7 @@ let control_tests =
     case "fluid adjacency matches the leakage pair model" (fun () ->
         let t = small_full_layout 4 4 in
         let a = Control.leak_pairs t Control.Fluid_adjacency in
-        let b = Fpva_testgen.Leakage.adjacent_pairs t in
+        let b = Fpva_sim.Fault.adjacent_pairs t in
         checkb "same set" true
           (List.sort compare (Array.to_list a)
           = List.sort compare (Array.to_list b)));

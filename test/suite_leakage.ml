@@ -8,7 +8,7 @@ let tests =
   [
     case "adjacent pairs are symmetric and distinct" (fun () ->
         let t = small_full_layout 4 4 in
-        let pairs = Leakage.adjacent_pairs t in
+        let pairs = Control.leak_pairs t Control.Fluid_adjacency in
         checkb "nonempty" true (Array.length pairs > 0);
         Array.iter
           (fun (a, b) ->
@@ -29,7 +29,7 @@ let tests =
             let b1, b2 = Coord.edge_endpoints eb in
             checkb "share cell" true
               (a1 = b1 || a1 = b2 || a2 = b1 || a2 = b2))
-          (Leakage.adjacent_pairs t));
+          (Control.leak_pairs t Control.Fluid_adjacency));
     case "exercised_by semantics" (fun () ->
         let t = small_full_layout 3 3 in
         let paths, _ = Flow_path.generate t in

@@ -262,4 +262,23 @@ let tests =
           then ok := false
         done;
         !ok);
+    qcheck_layout ~count:60 "a leak is valid exactly on Control's pair table"
+      (fun t ->
+        (* Fault's draw table is Control's, reversed (the order
+           [Rng.pick] has always seen), and [validate] accepts exactly
+           the pairs in it. *)
+        let pairs = Control.leak_pairs t Control.Fluid_adjacency in
+        let n = Array.length pairs and nv = Fpva.num_valves t in
+        let table = Hashtbl.create (max n 1) in
+        Array.iter (fun p -> Hashtbl.replace table p ()) pairs;
+        let valves = List.init nv Fun.id in
+        Fault.adjacent_pairs t = Array.init n (fun i -> pairs.(n - 1 - i))
+        && List.for_all
+             (fun a ->
+               List.for_all
+                 (fun b ->
+                   Result.is_ok (Fault.validate t (Fault.Control_leak (a, b)))
+                   = Hashtbl.mem table (a, b))
+                 valves)
+             valves);
   ]
