@@ -571,27 +571,29 @@ let campaign_bench ~trials () =
   (* Compiled path, ideal meters. *)
   let ideal = Campaign.run ~config fpva ~vectors in
   let ideal_tps = rate total_trials ideal.Campaign.wall_seconds in
-  (* A jobs sweep: rows must be bit-identical for every jobs value;
-     throughput should scale with available cores. *)
-  let sweep =
-    List.map
-      (fun jobs ->
-        let r = Campaign.run ~config ~jobs fpva ~vectors in
-        (jobs, (r.Campaign.rows, rate total_trials r.Campaign.wall_seconds)))
-      [ 1; 2; 4 ]
-  in
-  let j1_rows, j1_tps = List.assoc 1 sweep in
-  let tps_of j = snd (List.assoc j sweep) in
-  (* Bit-parallel kernel vs its scalar reference, single-threaded.  A
-     dedicated pair of runs with a floor on the trial count: at the tiny
-     CI trial counts a few-hundred-trial scalar run finishes in fractions of a
-     millisecond and the ratio would be timer noise. *)
+  (* The timed comparisons below run with a floor on the trial count: at
+     the tiny CI trial counts a few-hundred-trial run finishes in fractions
+     of a millisecond, so a ratio would be timer noise, and it makes too
+     few 63-trial batches for [Pool.run] to give each of 4 workers its
+     minimum share, so jobs=4 would run on one worker. *)
   let kernel_trials = max trials 1000 in
   let kernel_config = { config with Campaign.trials = kernel_trials } in
   let kernel_total =
     kernel_trials * List.length config.Campaign.fault_counts
   in
-  (* The two kernels are timed back to back inside each round and the
+  (* A jobs sweep: rows must be bit-identical for every jobs value;
+     throughput should scale with available cores. *)
+  let sweep =
+    List.map
+      (fun jobs ->
+        let r = Campaign.run ~config:kernel_config ~jobs fpva ~vectors in
+        (jobs, (r.Campaign.rows, rate kernel_total r.Campaign.wall_seconds)))
+      [ 1; 2; 4 ]
+  in
+  let j1_rows, j1_tps = List.assoc 1 sweep in
+  let tps_of j = snd (List.assoc j sweep) in
+  (* Bit-parallel kernel vs its scalar reference, single-threaded.  The
+     two kernels are timed back to back inside each round and the
      speedup is the best per-round ratio: a load spike on a shared
      runner then slows both sides of a ratio instead of whichever
      kernel happened to be running, which is what made a
@@ -640,8 +642,8 @@ let campaign_bench ~trials () =
       Printf.printf
         "sharded jobs=%d  : %d trials in %.3fs  (%.0f trials/s, efficiency \
          %.2f)\n"
-        jobs total_trials
-        (float_of_int total_trials /. Float.max tps 1e-9)
+        jobs kernel_total
+        (float_of_int kernel_total /. Float.max tps 1e-9)
         tps
         (tps /. (float_of_int jobs *. Float.max j1_tps 1e-9)))
     sweep;
@@ -652,9 +654,9 @@ let campaign_bench ~trials () =
   let module Trace = Fpva_util.Trace in
   Trace.reset ();
   Trace.enable ();
-  let traced = Campaign.run ~config ~jobs:2 fpva ~vectors in
+  let traced = Campaign.run ~config:kernel_config ~jobs:2 fpva ~vectors in
   Trace.disable ();
-  let untraced_j2_wall = float_of_int total_trials /. Float.max (tps_of 2) 1e-9 in
+  let untraced_j2_wall = float_of_int kernel_total /. Float.max (tps_of 2) 1e-9 in
   let trace_overhead_pct =
     100.0
     *. ((traced.Campaign.wall_seconds /. Float.max untraced_j2_wall 1e-9)

@@ -431,27 +431,36 @@ let serpentine_seeds fpva =
     !candidates
   end
 
-let observation fpva states =
-  let open_edge e =
-    match Fpva.valve_id_opt fpva e with
-    | Some vid -> states.(vid)
-    | None -> true
-  in
-  Graph.pressurized_sinks fpva ~open_edge
+(* One bridge search over the vector's open valves (the path's): [k]
+   gets whether a watched node has pressure and a test for "closing this
+   path valve alone cuts a watched node off".  The path's valves are
+   stamped [opened]; a cut restamps its valve [opened + 1], which still
+   reads as open, so no per-call mask is allocated.  The test reads the
+   stamps, so [k] runs while the scratch is still borrowed. *)
+let path_cuts fpva path ~watched k =
+  let comp = Compiled.get fpva in
+  Compiled.with_scratch comp (fun s ->
+      Compiled.extend_scratch comp s;
+      let marks = s.Compiled.marks in
+      let opened = s.Compiled.mark_gen + 1 in
+      let cut = opened + 1 in
+      s.Compiled.mark_gen <- cut;
+      List.iter (fun v -> marks.(v) <- opened) path.valve_ids;
+      let reached =
+        Graph.cut_valves_c comp s
+          ~open_valve:(fun v -> marks.(v) >= opened)
+          ~watched ~on_cut:(fun v -> marks.(v) <- cut)
+      in
+      k reached (fun v -> marks.(v) = cut))
 
 (* The valves whose closure flips the observation: exactly the stuck-at-0
-   faults this path's vector detects. *)
+   faults this path's vector detects.  Source ports always see pressure,
+   so the observation flips exactly when a sink loses it. *)
 let tested_valves fpva path =
-  let states = Array.make (Fpva.num_valves fpva) false in
-  List.iter (fun v -> states.(v) <- true) path.valve_ids;
-  let golden = observation fpva states in
-  List.filter
-    (fun v ->
-      states.(v) <- false;
-      let obs = observation fpva states in
-      states.(v) <- true;
-      obs <> golden)
-    path.valve_ids
+  let sinks = Compiled.sink_node_mask (Compiled.get fpva) in
+  path_cuts fpva path
+    ~watched:(fun n -> sinks.(n))
+    (fun _ is_cut -> List.filter is_cut path.valve_ids)
 
 (* Generation absorbs only detection-verified valves (see tested_valves):
    a greedy covering loop followed by a per-valve targeted mop-up, both
@@ -559,28 +568,13 @@ let covers_all_valves fpva paths =
     paths;
   Array.for_all (fun b -> b) seen
 
-(* Single-fault soundness audit: with the path's vector applied, closing any
-   single path valve must remove the pressure at the path's sink. *)
+(* Single-fault soundness audit: with the path's vector applied, the
+   path's sink has pressure and closing any single path valve removes it. *)
 let sound fpva path =
-  let nv = Fpva.num_valves fpva in
-  let states = Array.make nv false in
-  List.iter (fun v -> states.(v) <- true) path.valve_ids;
-  let sink_pressure states =
-    let open_edge e =
-      match Fpva.valve_id_opt fpva e with
-      | Some vid -> states.(vid)
-      | None -> true
-    in
-    (Graph.pressurized_sinks fpva ~open_edge).(path.sink)
-  in
-  sink_pressure states
-  && List.for_all
-       (fun v ->
-         states.(v) <- false;
-         let alive = sink_pressure states in
-         states.(v) <- true;
-         not alive)
-       path.valve_ids
+  let sink = Compiled.port_node (Compiled.get fpva) path.sink in
+  path_cuts fpva path
+    ~watched:(fun n -> n = sink)
+    (fun reached is_cut -> reached && List.for_all is_cut path.valve_ids)
 
 let pp fpva ppf p =
   let ports = Fpva.ports fpva in

@@ -1,4 +1,7 @@
 open Fpva_grid
+module Trace = Fpva_util.Trace
+
+let dead_end_c = Trace.counter "leakage.dead_end_pairs"
 
 let on_path_set fpva (path : Flow_path.t) =
   let set = Array.make (Fpva.num_valves fpva) false in
@@ -34,30 +37,47 @@ let residual_pairs fpva ~existing =
   residual_after fpva (Control.leak_pairs fpva Control.Fluid_adjacency)
     existing
 
+(* The edge of victim [b] in [prob], the flow-path instance with its
+   aggressor removed from the graph (held closed), unless no path can
+   carry it: [b] has no edge there, or its edge is on a dead end (at a
+   corner cell, say, whose only other valve is the aggressor). *)
+let victim_edge fpva prob mapping b =
+  match Flow_path.edge_id_of_mapping mapping (Fpva.edge_of_valve fpva b) with
+  | Some e when not (Problem.dead_end prob e) -> Some e
+  | Some _ | None -> None
+
+let dead_end fpva (a, b) =
+  let prob, mapping = Flow_path.problem ~forbidden_valves:[ a ] fpva in
+  victim_edge fpva prob mapping b = None
+
 (* One attempt: a flow path that must include victim [b] while aggressor [a]
-   is removed from the graph (held closed).  Unit weights on the other
-   residual victims make a single vector retire many pairs. *)
+   is held closed.  Unit weights on the other residual victims make a
+   single vector retire many pairs.  A pair no path can carry is rejected
+   without a search: no path the engine could return exercises it. *)
 let attempt ?budget ?stats engine fpva remaining (a, b) =
   let prob, mapping = Flow_path.problem ~forbidden_valves:[ a ] fpva in
-  let weight = Array.make prob.Problem.num_edges 0.0 in
-  let edge_id_of_valve vid =
-    Flow_path.edge_id_of_mapping mapping (Fpva.edge_of_valve fpva vid)
-  in
-  List.iter
-    (fun (_, vict) ->
-      match edge_id_of_valve vict with
-      | Some e -> weight.(e) <- max weight.(e) 1.0
-      | None -> ())
-    remaining;
-  (match edge_id_of_valve b with
-  | Some e -> weight.(e) <- 1000.0
-  | None -> ());
-  let found = Cover.find_robust ?budget ?stats engine prob ~weight in
-  match found with
-  | None -> None
-  | Some p ->
-    let path = Flow_path.of_problem_path fpva mapping p in
-    if (tested_set fpva path).(b) then Some path else None
+  match victim_edge fpva prob mapping b with
+  | None ->
+    Trace.incr dead_end_c;
+    None
+  | Some eb -> (
+    let weight = Array.make prob.Problem.num_edges 0.0 in
+    let edge_id_of_valve vid =
+      Flow_path.edge_id_of_mapping mapping (Fpva.edge_of_valve fpva vid)
+    in
+    List.iter
+      (fun (_, vict) ->
+        match edge_id_of_valve vict with
+        | Some e -> weight.(e) <- max weight.(e) 1.0
+        | None -> ())
+      remaining;
+    weight.(eb) <- 1000.0;
+    let found = Cover.find_robust ?budget ?stats engine prob ~weight in
+    match found with
+    | None -> None
+    | Some p ->
+      let path = Flow_path.of_problem_path fpva mapping p in
+      if (tested_set fpva path).(b) then Some path else None)
 
 let generate ?(engine = Cover.default_engine) ?pairs
     ?(budget = Budget.unlimited) ?stats fpva ~existing =

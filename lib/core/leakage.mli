@@ -23,6 +23,14 @@ open Fpva_grid
 val exercised_by : Fpva.t -> Flow_path.t -> (int * int) -> bool
 (** Is the pair (aggressor, victim) exercised by this path's vector? *)
 
+val dead_end : Fpva.t -> (int * int) -> bool
+(** Can no flow path carry the pair (aggressor, victim)?  With the
+    aggressor held closed, the victim has no edge in the flow-path
+    instance, or its edge is on a dead end ({!Problem.dead_end}) — at a
+    corner cell, say, whose only other valve is the aggressor.
+    {!generate} rejects such pairs without a search and counts them in
+    the trace counter [leakage.dead_end_pairs]. *)
+
 val residual_pairs :
   Fpva.t -> existing:Flow_path.t list -> (int * int) list
 (** Fluid-adjacency pairs ({!Fpva_grid.Control.leak_pairs}) not exercised

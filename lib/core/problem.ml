@@ -72,6 +72,30 @@ let build ~num_nodes ~edges ~required ?pair_constrained ?terminal
 let num_required t =
   Array.fold_left (fun acc r -> if r then acc + 1 else acc) 0 t.required
 
+let dead_end t e =
+  let kept = Array.copy t.terminal in
+  Array.iter (fun n -> kept.(n) <- true) t.starts;
+  Array.iter (fun n -> kept.(n) <- true) t.ends;
+  let degree =
+    Array.init t.num_nodes (fun n -> t.adj_off.(n + 1) - t.adj_off.(n))
+  in
+  let pruned = Array.make t.num_nodes false in
+  let rec prune n =
+    if degree.(n) <= 1 && not (pruned.(n) || kept.(n)) then begin
+      pruned.(n) <- true;
+      for k = t.adj_off.(n) to t.adj_off.(n + 1) - 1 do
+        let m = t.adj_node.(k) in
+        degree.(m) <- degree.(m) - 1;
+        prune m
+      done
+    end
+  in
+  for n = 0 to t.num_nodes - 1 do
+    prune n
+  done;
+  let a, b = t.edge_ends.(e) in
+  pruned.(a) || pruned.(b)
+
 type path = { nodes : int list; edges : int list }
 
 let mem_array x a = Array.exists (fun y -> y = x) a

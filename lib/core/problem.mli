@@ -47,6 +47,14 @@ val build :
 
 val num_required : t -> int
 
+val dead_end : t -> int -> bool
+(** [dead_end t e] — is edge [e] on a dead end?  Nodes that are neither
+    terminal, start nor end are pruned while they have at most one edge
+    left; [e] is on a dead end when an end of it is pruned.  An interior
+    node of a path needs two edges and the other nodes are never pruned,
+    so no admissible path uses such an edge: an engine asked to cover it
+    can only fail.  O(nodes + edges). *)
+
 type path = {
   nodes : int list;  (** visited nodes, start first *)
   edges : int list;  (** traversed edges, in step order; length = nodes-1 *)

@@ -2,6 +2,10 @@ type scratch = {
   queue : int array;
   seen : int array;
   mutable gen : int;
+  mutable low : int array;
+  mutable next : int array;
+  mutable marks : int array;
+  mutable mark_gen : int;
 }
 
 type t = {
@@ -147,7 +151,20 @@ let leak_pairs t =
 let create_scratch t =
   { queue = Array.make (max t.num_nodes 1) 0;
     seen = Array.make (max t.num_nodes 1) 0;
-    gen = 0 }
+    gen = 0;
+    low = [||];
+    next = [||];
+    marks = [||];
+    mark_gen = 0 }
+
+(* Simulator handles, one per campaign worker, never search for bridges or
+   stamp valve sets, so their scratches go without these buffers. *)
+let extend_scratch t s =
+  if Array.length s.marks = 0 then begin
+    s.low <- Array.make (max t.num_nodes 1) 0;
+    s.next <- Array.make (max t.num_nodes 1) 0;
+    s.marks <- Array.make (max t.num_valves 1) 0
+  end
 
 (* The spare is taken out of its slot for the whole call, so a concurrent
    or re-entrant traversal finds the slot empty and builds its own scratch

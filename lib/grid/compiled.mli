@@ -88,16 +88,35 @@ val leak_pairs : t -> (int * int) array
     flat int arrays sized to the node count; the visited set is
     generation-stamped, so reusing a scratch across traversals costs one
     integer bump instead of an O(nodes) clear, and a traversal allocates
-    nothing.  A scratch is tied to the compilation it was created from
-    and must not be shared across concurrently running traversals. *)
+    nothing.  The bridge search ({!Graph.cut_valves_c}) uses the same
+    worklist as its stack and the stamps as discovery times, plus two
+    more node arrays.  [marks] lets a caller hand a valve set to a
+    traversal the same way: stamp the set's valves with a fresh
+    [mark_gen] and test [marks.(v) = g], with no per-call mask.  Those
+    three arrays start empty; {!extend_scratch} allocates them.  A
+    scratch is tied to the compilation it was created from and must not
+    be shared across concurrently running traversals. *)
 
 type scratch = {
-  queue : int array;  (** BFS worklist, capacity [num_nodes] *)
-  seen : int array;  (** generation stamps, length [num_nodes] *)
+  queue : int array;  (** BFS worklist or DFS stack, capacity [num_nodes] *)
+  seen : int array;
+      (** generation stamps, length [num_nodes]; a DFS writes discovery
+          times above the current [gen] and leaves [gen] at the last *)
   mutable gen : int;  (** current generation; bumped per traversal *)
+  mutable low : int array;  (** DFS low-links, length [num_nodes] *)
+  mutable next : int array;  (** DFS per-node arc cursors, length [num_nodes] *)
+  mutable marks : int array;  (** per-valve stamps, length [num_valves] *)
+  mutable mark_gen : int;  (** last stamp handed out; bump before use *)
 }
 
 val create_scratch : t -> scratch
+(** A scratch whose [low], [next] and [marks] are empty. *)
+
+val extend_scratch : t -> scratch -> unit
+(** Allocate the scratch's [low], [next] and [marks] unless it already
+    has them.  Needed before the bridge search or stamping [marks];
+    scratches that only run BFS sweeps, one per campaign worker, never
+    pay for them. *)
 
 val with_scratch : t -> (scratch -> 'a) -> 'a
 (** [with_scratch t f] runs [f] on the compilation's spare scratch and
@@ -105,7 +124,8 @@ val with_scratch : t -> (scratch -> 'a) -> 'a
     out, other calls — from another domain or thread, or nested inside
     [f] — each get a fresh {!create_scratch}, so no two running
     traversals ever share buffers.  Used by the polymorphic {!Graph}
-    wrappers, [Dual.is_cut] and [Test_vector.golden_response]. *)
+    wrappers, [Dual.is_cut], [Flow_path.tested_valves] and
+    [Test_vector.golden_response]. *)
 
 (** {2 Bit-parallel batch traversal}
 

@@ -129,14 +129,18 @@ let cut_of_corner_path t path =
 
 let is_cut t closed =
   (* Closing a non-valve edge is a no-op in the graph view (only valve
-     edges consult the predicate), so a valve-id mask loses nothing. *)
+     edges consult the predicate), so stamping the closed valves' ids
+     into the scratch loses nothing. *)
   let comp = Compiled.get t in
-  let mask = Array.make (max (Compiled.num_valves comp) 1) false in
-  List.iter
-    (fun e ->
-      match Fpva.valve_id_opt t e with
-      | Some v -> mask.(v) <- true
-      | None -> ())
-    closed;
   Compiled.with_scratch comp (fun s ->
-      Graph.separates_c comp s ~closed_valve:(fun v -> mask.(v)))
+      Compiled.extend_scratch comp s;
+      let marks = s.Compiled.marks in
+      let g = s.Compiled.mark_gen + 1 in
+      s.Compiled.mark_gen <- g;
+      List.iter
+        (fun e ->
+          match Fpva.valve_id_opt t e with
+          | Some v -> marks.(v) <- g
+          | None -> ())
+        closed;
+      Graph.separates_c comp s ~closed_valve:(fun v -> marks.(v) = g))

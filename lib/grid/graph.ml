@@ -77,6 +77,76 @@ let reachable_c comp scratch ~open_valve ~from target =
   run_bfs comp scratch ~open_valve ~sources:from ~stop:(fun n -> n = target)
   >= 0
 
+(* Tarjan's bridge search over the open arcs, as an explicit-stack DFS.
+   Closing a valve only ever removes pressure, so it changes what a node
+   sees exactly when its arc is a bridge between that node and every
+   source.  The sources act as one virtual root of discovery time 0 joined
+   to each of them: every source starts with low-link 0, so no arc above a
+   subtree that holds a source is a bridge (that side stays fed).  A tree
+   arc p -> c is then a cut exactly when [low c > disc p], and it cuts off
+   c's subtree, which holds a watched node exactly when the latest watched
+   discovery came at or after [disc c] (whatever is discovered while c is
+   on the stack lies below it).
+
+   [seen] holds discovery times above the generation the search started
+   at; the last time becomes the new generation, so BFS stamps stay
+   fresh.  The CSR form is simple (two nodes share at most one arc pair),
+   so the arc back to the parent is the one whose target is the parent.
+   While c's subtree runs, p's cursor stays one past the tree arc to c. *)
+let cut_valves_c comp (s : Compiled.scratch) ~open_valve ~watched ~on_cut =
+  Compiled.extend_scratch comp s;
+  let off = Compiled.adj_off comp in
+  let nodes = Compiled.adj_node comp in
+  let edges = Compiled.adj_edge comp in
+  let sinks = Compiled.sink_node_mask comp in
+  let num_cells = Compiled.num_cells comp in
+  let disc = s.Compiled.seen and low = s.Compiled.low in
+  let next = s.Compiled.next and stack = s.Compiled.queue in
+  let start = s.Compiled.gen in
+  let clock = ref start and sp = ref 0 and last_watched = ref start in
+  let discover v =
+    incr clock;
+    let t = !clock in
+    disc.(v) <- t;
+    low.(v) <- (if v >= num_cells && not sinks.(v) then 0 else t);
+    next.(v) <- off.(v);
+    if watched v then last_watched := t;
+    stack.(!sp) <- v;
+    incr sp
+  in
+  let sources = Compiled.source_nodes comp in
+  for i = 0 to Array.length sources - 1 do
+    if disc.(sources.(i)) <= start then begin
+      discover sources.(i);
+      while !sp > 0 do
+        let u = stack.(!sp - 1) in
+        let k = next.(u) in
+        if k < off.(u + 1) then begin
+          next.(u) <- k + 1;
+          let e = edges.(k) in
+          if e < 0 || open_valve e then begin
+            let v = nodes.(k) in
+            if disc.(v) <= start then discover v
+            else if (!sp < 2 || v <> stack.(!sp - 2)) && disc.(v) < low.(u)
+            then low.(u) <- disc.(v)
+          end
+        end
+        else begin
+          decr sp;
+          if !sp > 0 then begin
+            let p = stack.(!sp - 1) in
+            if low.(u) < low.(p) then low.(p) <- low.(u);
+            let e = edges.(next.(p) - 1) in
+            if e >= 0 && low.(u) > disc.(p) && !last_watched >= disc.(u) then
+              on_cut e
+          end
+        end
+      done
+    end
+  done;
+  s.Compiled.gen <- !clock;
+  !last_watched > start
+
 (* ------------------------------------------------------------------ *)
 (* Polymorphic API: thin wrappers that compile on demand               *)
 (* ------------------------------------------------------------------ *)

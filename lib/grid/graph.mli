@@ -64,3 +64,12 @@ val separates_c :
 val reachable_c :
   Compiled.t -> Compiled.scratch -> open_valve:(int -> bool) ->
   from:int array -> int -> bool
+
+val cut_valves_c :
+  Compiled.t -> Compiled.scratch -> open_valve:(int -> bool) ->
+  watched:(int -> bool) -> on_cut:(int -> unit) -> bool
+(** [cut_valves_c t s ~open_valve ~watched ~on_cut] calls [on_cut v] once
+    for every open valve [v] whose closing alone would cut some [watched]
+    node that has pressure off from every source, and returns whether any
+    [watched] node has pressure.  One bridge-finding DFS over the open
+    arcs, O(nodes + arcs), instead of one pressure sweep per valve. *)

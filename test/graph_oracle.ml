@@ -86,6 +86,47 @@ let separates t ~closed_edge =
     (Fpva.ports t);
   !ok
 
+(* The per-valve sweep [Flow_path.tested_valves] and [Flow_path.sound]
+   replaced with one bridge search: the path's vector opens exactly its
+   valves, and each valve is closed in turn and the whole array swept
+   again. *)
+let path_states t (path : Fpva_testgen.Flow_path.t) =
+  let states = Array.make (Fpva.num_valves t) false in
+  List.iter (fun v -> states.(v) <- true) path.Fpva_testgen.Flow_path.valve_ids;
+  states
+
+let observation t states =
+  pressurized_sinks t ~open_edge:(fun e ->
+      match Fpva.valve_id_opt t e with
+      | Some vid -> states.(vid)
+      | None -> true)
+
+(* The path valves whose closure alone changes what some port sees. *)
+let tested_valves t path =
+  let states = path_states t path in
+  let golden = observation t states in
+  List.filter
+    (fun v ->
+      states.(v) <- false;
+      let obs = observation t states in
+      states.(v) <- true;
+      obs <> golden)
+    path.Fpva_testgen.Flow_path.valve_ids
+
+(* The path's sink sees pressure, and closing any one path valve takes it
+   away. *)
+let sound t path =
+  let states = path_states t path in
+  let sink = path.Fpva_testgen.Flow_path.sink in
+  (observation t states).(sink)
+  && List.for_all
+       (fun v ->
+         states.(v) <- false;
+         let alive = (observation t states).(sink) in
+         states.(v) <- true;
+         not alive)
+       path.Fpva_testgen.Flow_path.valve_ids
+
 (* The response to vector [v] under [faults]: the simulator's effective
    valve states, walked by the reference BFS above instead of the compiled
    one — and always walked, with no shortcut for non-deviating reads. *)

@@ -139,6 +139,24 @@ let cut_tests =
         List.iter (fun v -> seen.(v) <- true) (all_cut_valves cuts);
         List.iter (fun v -> seen.(v) <- true) uncovered;
         Array.for_all (fun b -> b) seen);
+    case "is_cut allocates nothing in the major heap" (fun () ->
+        (* A per-call valve mask on the 20x20 (760 valves) is too big for
+           the minor heap; the closed set is stamped into the scratch. *)
+        if Sys.backend_type = Sys.Native then begin
+          let t = Layouts.paper_array 20 in
+          let column c = List.init 20 (fun r -> Coord.E (Coord.cell r c)) in
+          checkb "a full column is a cut" true (Dual.is_cut t (column 9));
+          checkb "half a column is not" false
+            (Dual.is_cut t (List.filteri (fun i _ -> i < 10) (column 9)));
+          let _, promoted0, major0 = Gc.counters () in
+          for c = 0 to 999 do
+            ignore (Sys.opaque_identity (Dual.is_cut t (column (c mod 19))))
+          done;
+          let _, promoted1, major1 = Gc.counters () in
+          let direct = major1 -. major0 -. (promoted1 -. promoted0) in
+          checkb (Printf.sprintf "%.0f words allocated directly" direct) true
+            (direct = 0.0)
+        end);
   ]
 
 let tests = cut_tests

@@ -3,6 +3,23 @@
 open Helpers
 open Fpva_grid
 open Fpva_testgen
+module Trace = Fpva_util.Trace
+
+let pair_list = Alcotest.(list (pair int int))
+
+(* [Leakage.generate] on [existing], traced: its result and the number of
+   pairs it rejected without a search. *)
+let traced_generate t ~existing =
+  Trace.reset ();
+  Trace.enable ();
+  let r =
+    Fun.protect ~finally:Trace.disable (fun () ->
+        Leakage.generate t ~existing)
+  in
+  (r, Trace.count (Trace.counter "leakage.dead_end_pairs"))
+
+(* The flow paths the pipeline hands the leakage stage. *)
+let pipeline_flow t = (Hierarchy.generate t).Hierarchy.paths
 
 let tests =
   [
@@ -88,4 +105,56 @@ let tests =
         let extra, impossible = Leakage.generate t ~existing:flow in
         let residual = Leakage.residual_pairs t ~existing:(flow @ extra) in
         List.sort compare residual = List.sort compare impossible);
+    case "the paper 5x5 rejects exactly its 8 corner-cell pairs up front"
+      (fun () ->
+        (* Each corner cell has two valves and no port; with one held
+           closed the other leads into a dead end. *)
+        let t = Layouts.paper_array 5 in
+        let corners =
+          [ (Coord.cell 0 0, Coord.East, Coord.South, (0, 19));
+            (Coord.cell 0 4, Coord.West, Coord.South, (3, 23));
+            (Coord.cell 4 0, Coord.East, Coord.North, (15, 34));
+            (Coord.cell 4 4, Coord.West, Coord.North, (18, 38)) ]
+        in
+        List.iter
+          (fun (cell, d1, d2, (v1, v2)) ->
+            let valve d = Fpva.valve_id t (Coord.edge_towards cell d) in
+            checki "first valve" v1 (valve d1);
+            checki "second valve" v2 (valve d2))
+          corners;
+        let expected =
+          [ (0, 19); (3, 23); (15, 34); (18, 38);
+            (19, 0); (23, 3); (34, 15); (38, 18) ]
+        in
+        let rejected =
+          List.filter (Leakage.dead_end t)
+            (Array.to_list (Control.leak_pairs t Control.Fluid_adjacency))
+        in
+        check pair_list "rejected up front" expected (List.sort compare rejected);
+        let (_, impossible), dead_ends =
+          traced_generate t ~existing:(pipeline_flow t)
+        in
+        checki "leakage.dead_end_pairs" 8 dead_ends;
+        check pair_list "unexercisable" expected (List.sort compare impossible));
+    qcheck_layout ~count:15 "generate matches the loop that searches every pair"
+      (fun t ->
+        let flow, _ = Flow_path.generate t in
+        Leakage.generate t ~existing:flow
+        = Leakage_oracle.generate t ~existing:flow);
+    slow_case "generate matches the loop that searches every pair on the paper \
+               5x5 and 10x10"
+      (fun () ->
+        List.iter
+          (fun n ->
+            let t = Layouts.paper_array n in
+            let existing = pipeline_flow t in
+            let (paths, impossible), dead_ends = traced_generate t ~existing in
+            let ref_paths, ref_impossible =
+              Leakage_oracle.generate t ~existing
+            in
+            checki "leakage.dead_end_pairs" 8 dead_ends;
+            checkb "same paths" true (paths = ref_paths);
+            check pair_list "same unexercisable pairs" ref_impossible
+              impossible)
+          [ 5; 10 ]);
   ]

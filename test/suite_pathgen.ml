@@ -511,8 +511,8 @@ let pinned_tests =
                (Digest.string (Suite_io.to_string t r.Pipeline.vectors)));
           checki "path_search.steps" steps
             (Trace.count (Trace.counter "path_search.steps"))))
-    [ (5, 17, "7d0c3a4bb6968c0577de3d33c6702658", 4_090_274);
-      (10, 40, "20a29170625e8a0c54d13b3a9937aca4", 8_000_262) ]
+    [ (5, 17, "7d0c3a4bb6968c0577de3d33c6702658", 2_490_274);
+      (10, 40, "20a29170625e8a0c54d13b3a9937aca4", 6_400_262) ]
 
 let tests =
   problem_tests @ search_tests @ oracle_tests @ ilp_tests @ cover_tests

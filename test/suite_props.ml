@@ -55,6 +55,21 @@ let random_fault rng t ~open_valves =
     Fault.intermittent ~probability:(R.float rng 1.0) base
   else base
 
+(* [t] with a second source on the north side and a second sink on the
+   south side where those cells are fluid: several sources are what a
+   bridge search rooted at one source would get wrong. *)
+let with_second_ports rng t =
+  let module R = Fpva_util.Rng in
+  let t = Fpva.copy t in
+  let add side kind =
+    let p = { Fpva.side; offset = R.int rng (Fpva.cols t); kind } in
+    if Fpva.cell_state t (Fpva.port_cell t p) = Fpva.Fluid then
+      Fpva.add_port t p
+  in
+  add Coord.North Fpva.Source;
+  add Coord.South Fpva.Sink;
+  t
+
 let tests =
   [
     qcheck_layout ~count:60 "compiled pressurized_sinks matches the spec"
@@ -281,4 +296,33 @@ let tests =
                    = Hashtbl.mem table (a, b))
                  valves)
              valves);
+    qcheck_layout ~count:60
+      "tested_valves and sound match the per-valve sweep with two sources"
+      (fun t ->
+        (* On the generated paths and on random open-valve sets (half
+           open, where a single valve most often matters), with every port
+           as the watched sink of [sound]. *)
+        let module R = Fpva_util.Rng in
+        let rng = R.create 43 in
+        let t = with_second_ports rng t in
+        let nv = Fpva.num_valves t in
+        let num_ports = Array.length (Fpva.ports t) in
+        let agree (p : Flow_path.t) =
+          Flow_path.tested_valves t p = Graph_oracle.tested_valves t p
+          && List.for_all
+               (fun sink ->
+                 let p = { p with Flow_path.sink } in
+                 Flow_path.sound t p = Graph_oracle.sound t p)
+               (List.init num_ports Fun.id)
+        in
+        let random_set () =
+          { Flow_path.cells = [];
+            edges = [];
+            valve_ids = List.filter (fun _ -> R.bool rng) (List.init nv Fun.id);
+            source = 0;
+            sink = 0 }
+        in
+        let paths, _ = Flow_path.generate t in
+        List.for_all agree paths
+        && List.for_all agree (List.init 20 (fun _ -> random_set ())));
   ]
