@@ -1,52 +1,1 @@
-open Fpva_grid
-
-let vector_count fpva = 2 * Fpva.num_valves fpva
-
-(* Cheap per-valve searches: small budget, the target valve dominates the
-   weight so the engine heads straight for it. *)
-let small_params =
-  { Path_search.default_params with Path_search.step_budget = 20_000 }
-
-let path_through engine fpva v =
-  let prob, mapping = Flow_path.problem fpva in
-  let weight = Array.make prob.Problem.num_edges 0.0 in
-  (match Flow_path.edge_id_of_mapping mapping (Fpva.edge_of_valve fpva v) with
-  | Some e -> weight.(e) <- 1000.0
-  | None -> ());
-  let found =
-    let engine =
-      match engine with
-      | Cover.Search _ -> Cover.Search small_params
-      | (Cover.Ilp _ | Cover.Custom _) as e -> e
-    in
-    Cover.find_one engine prob ~weight
-  in
-  match found with
-  | None -> None
-  | Some p ->
-    let path = Flow_path.of_problem_path fpva mapping p in
-    (* the probe must actually detect both polarities at [v] *)
-    if List.mem v (Flow_path.tested_valves fpva path)
-       && Test_vector.well_formed fpva (Test_vector.of_pierced_path fpva path v)
-          = Ok ()
-    then Some path
-    else None
-
-let generate ?(engine = Cover.default_engine) fpva =
-  let vectors = ref [] and missed = ref [] in
-  for v = Fpva.num_valves fpva - 1 downto 0 do
-    (* One path through [v] yields both polarities: the flow vector opens
-       the whole path (stuck-at-0 probe for [v]); the pierced vector closes
-       only [v] (stuck-at-1 probe). *)
-    match path_through engine fpva v with
-    | Some path ->
-      vectors :=
-        Test_vector.of_flow_path ~label:(Printf.sprintf "base-sa0-%d" v) fpva
-          path
-        :: Test_vector.of_pierced_path
-             ~label:(Printf.sprintf "base-sa1-%d" v)
-             fpva path v
-        :: !vectors
-    | None -> missed := v :: !missed
-  done;
-  (!vectors, !missed)
+let vector_count fpva = 2 * Fpva_grid.Fpva.num_valves fpva

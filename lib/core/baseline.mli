@@ -4,22 +4,12 @@
     open or closed each time for fault test.  The total number of test
     vectors in this case would be two times the number of valves."
 
-    Per valve [v] this generator emits:
-    - a {e stuck-at-0 probe}: a flow-path vector routed through [v]
-      (detecting that [v] opens), and
-    - a {e stuck-at-1 probe}: a cut-set vector containing [v]
-      (detecting that [v] closes),
+    Per valve [v] that baseline applies a {e stuck-at-0 probe} (a flow
+    path through [v]) and a {e stuck-at-1 probe} (the same path with [v]
+    alone closed, {!Test_vector.of_pierced_path}), for a total of [2 * nv]
+    vectors — quadratically more than the paper's method, which is the
+    point of the comparison.  Only the count is computed; the suite itself
+    is not materialised. *)
 
-    for a total of [2 * nv] vectors — quadratically more than the paper's
-    method, which is the point of the comparison. *)
-
-open Fpva_grid
-
-val vector_count : Fpva.t -> int
+val vector_count : Fpva_grid.Fpva.t -> int
 (** [2 * num_valves] — the paper's headline comparison number. *)
-
-val generate :
-  ?engine:Cover.engine -> Fpva.t -> Test_vector.t list * int list
-(** Materialise the baseline suite.  Returns the vectors and the valves for
-    which no probe could be constructed (architecturally untestable).
-    Intended for the smaller arrays; cost grows as O(nv) path searches. *)

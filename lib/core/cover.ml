@@ -14,7 +14,7 @@ let engine_name = function
   | Ilp _ -> "ilp"
   | Custom c -> c.cname
 
-type outcome = { paths : Problem.path list; uncovered : int list }
+type 'a outcome = { paths : 'a list; uncovered : int list }
 
 type stats = {
   mutable attempts : int;
@@ -38,15 +38,6 @@ let guarded f =
   try f () with
   | (Stack_overflow | Out_of_memory | Sys.Break) as e -> raise e
   | _ -> None
-
-let find_one engine problem ~weight =
-  let raw =
-    match engine with
-    | Search params -> Path_search.find ~params problem ~weight
-    | Ilp options -> Path_ilp.find ~bb_options:options problem ~weight
-    | Custom c -> guarded (fun () -> c.find problem ~weight)
-  in
-  match raw with Some p when valid problem p -> raw | Some _ | None -> None
 
 (* Classified primary attempt, for the fallback decision. *)
 let attempt ?(budget = Budget.unlimited) stats engine problem ~weight =
@@ -156,105 +147,90 @@ let find_salted ?budget ?stats ~salt engine problem ~weight =
   | Ilp _ | Custom _ ->
     find_robust ?budget ?stats ~salts:[ salt ] engine problem ~weight
 
-let run ?(engine = default_engine) ?(seeds = []) ?max_paths
-    ?(budget = Budget.unlimited) ?stats (p : Problem.t) =
-  let limit =
-    match max_paths with
-    | Some k -> k
-    | None -> (10 * Problem.num_required p) + 8
+(* The loop every stage shares.  A gainless path usually means the
+   weighting points at items the engine cannot reach from here; each one
+   moves the search to a fresh salt, and three in a row end the loop. *)
+let greedy ?(budget = Budget.unlimited) ?stats engine problem ~pending ~weight
+    ~absorb =
+  let rec loop salt stall =
+    if pending () && stall < 3 && not (Budget.exhausted budget) then begin
+      match find_salted ~budget ?stats ~salt engine problem ~weight:(weight ())
+      with
+      | None -> ()
+      | Some p -> if absorb p then loop salt 0 else loop (salt + 1) (stall + 1)
+    end
   in
-  let need = Array.copy p.Problem.required in
-  let still_needed () = Array.exists (fun b -> b) need in
-  let gain path =
-    List.fold_left (fun acc e -> if need.(e) then acc + 1 else acc) 0
-      path.Problem.edges
-  in
-  let absorb path =
-    List.iter (fun e -> need.(e) <- false) path.Problem.edges
-  in
+  loop 0 0
+
+let targeted ?(budget = Budget.unlimited) ?stats engine ~accept attempts =
+  List.find_map
+    (fun (problem, weight, salt) ->
+      if Budget.exhausted budget then None
+      else
+        Option.bind
+          (find_salted ~budget ?stats ~salt engine problem ~weight)
+          accept)
+    attempts
+
+(* A few independently-seeded tries: randomised dives occasionally miss an
+   awkward item that another jitter stream reaches. *)
+let focus_salts = [ 104729; 31337; 777; 999983 ]
+
+let run ?budget ?stats ?(seeds = []) engine problem ~pending ~edge_of ~decode
+    ~retires =
   let accepted = ref [] in
-  (* Seeds first: keep any valid seed that newly covers something. *)
+  let take path retired =
+    List.iter (fun i -> pending.(i) <- false) retired;
+    accepted := path :: !accepted
+  in
+  let absorb p =
+    let path = decode p in
+    let retired = retires path in
+    let gained = List.exists (fun i -> pending.(i)) retired in
+    if gained then take path retired;
+    gained
+  in
   List.iter
     (fun seed ->
-      match Problem.path_ok p seed with
-      | Error _ -> ()
-      | Ok () ->
-        if gain seed > 0 then begin
-          absorb seed;
-          accepted := seed :: !accepted
-        end)
+      if Problem.path_ok problem seed = Ok () then ignore (absorb seed))
     seeds;
-  let rec loop k seed_salt =
-    if k >= limit || (not (still_needed ())) || Budget.exhausted budget then ()
-    else begin
-      let weight =
-        Array.init p.Problem.num_edges (fun e -> if need.(e) then 1.0 else 0.0)
-      in
-      (* Vary the search seed per round so stuck rounds explore anew. *)
-      let engine =
-        match engine with
-        | Search params -> Search { params with Path_search.seed = params.Path_search.seed + seed_salt }
-        | (Ilp _ | Custom _) as e -> e
-      in
-      match find_robust ~budget ?stats engine p ~weight with
-      | None -> ()
-      | Some path ->
-        if gain path = 0 then
-          (* The best admissible path covers nothing new: no admissible path
-             can reach the remaining edges (an exact engine proves it; the
-             search engine strongly suggests it).  One retry with a fresh
-             seed, then give up on the remainder. *)
-          if seed_salt = 0 then loop k 7919 else ()
-        else begin
-          absorb path;
-          accepted := path :: !accepted;
-          loop (k + 1) 0
-        end
-    end
+  let weight () =
+    let w = Array.make problem.Problem.num_edges 0.0 in
+    Array.iteri
+      (fun i needed ->
+        if needed then Option.iter (fun e -> w.(e) <- 1.0) (edge_of i))
+      pending;
+    w
   in
-  loop (List.length !accepted) 0;
-  (* Targeted mop-up: the greedy weighting can starve awkward edges (the
-     best-scoring path repeatedly misses them); point the engine at each
-     leftover individually before declaring it uncoverable. *)
-  let mop_up e =
-    if need.(e) && List.length !accepted < limit && not (Budget.exhausted budget)
-    then begin
-      let weight =
-        Array.init p.Problem.num_edges (fun i ->
-            if i = e then 1000.0 else if need.(i) then 1.0 else 0.0)
-      in
-      let attempt salt =
-        let salts =
-          match engine with Search _ -> [] | Ilp _ | Custom _ -> [ e + salt ]
-        in
-        let engine =
-          match engine with
-          | Search params ->
-            Search
-              { Path_search.seed = params.Path_search.seed + e + salt;
-                step_budget = 2 * params.Path_search.step_budget }
-          | (Ilp _ | Custom _) as eng -> eng
-        in
-        match find_robust ~budget ?stats ~salts engine p ~weight with
-        | None -> false
-        | Some path ->
-          if List.mem e path.Problem.edges then begin
-            absorb path;
-            accepted := path :: !accepted;
-            true
-          end
-          else false
-      in
-      (* A few independently-seeded tries: randomised dives occasionally
-         miss an awkward edge that another jitter stream reaches. *)
-      ignore (List.exists attempt [ 104729; 31337; 777; 999983 ])
-    end
+  greedy ?budget ?stats engine problem
+    ~pending:(fun () -> Array.exists Fun.id pending)
+    ~weight ~absorb;
+  (* Targeted mop-up: the greedy weighting can starve awkward items (the
+     best-scoring path keeps missing them), so the engine is pointed at each
+     leftover alone before it is declared uncoverable.  A pure single-edge
+     weight: any background weight drags the optimum through other awkward
+     items (typically clustered near port cells, where multi-source
+     re-feeding untests the target); with a pure weight every path through
+     the target ties, the engine's tie-break prefers the shortest, and short
+     paths are testable. *)
+  let mop_up i e =
+    let weight = Array.make problem.Problem.num_edges 0.0 in
+    weight.(e) <- 1000.0;
+    let accept p =
+      let path = decode p in
+      let retired = retires path in
+      if List.mem i retired then Some (path, retired) else None
+    in
+    Option.iter
+      (fun (path, retired) -> take path retired)
+      (targeted ?budget ?stats engine ~accept
+         (List.map (fun salt -> (problem, weight, i + salt)) focus_salts))
   in
-  for e = 0 to p.Problem.num_edges - 1 do
-    if p.Problem.required.(e) then mop_up e
-  done;
+  Array.iteri
+    (fun i needed -> if needed then Option.iter (mop_up i) (edge_of i))
+    pending;
   let uncovered = ref [] in
-  for e = p.Problem.num_edges - 1 downto 0 do
-    if need.(e) then uncovered := e :: !uncovered
+  for i = Array.length pending - 1 downto 0 do
+    if pending.(i) then uncovered := i :: !uncovered
   done;
   { paths = List.rev !accepted; uncovered = !uncovered }

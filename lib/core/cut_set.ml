@@ -162,14 +162,14 @@ let minimize fpva ~drop_first cut =
 
 let generate ?(engine = Cover.default_engine) ?anti_masking
     ?(budget = Budget.unlimited) ?stats fpva =
-  let find_one engine prob ~weight ~salt =
-    Cover.find_salted ~budget ?stats ~salt engine prob ~weight
-  in
   let specs = problems ?anti_masking fpva in
   let remaining = Array.make (Fpva.num_valves fpva) true in
   let cuts = ref [] in
-  let absorb cut = List.iter (fun v -> remaining.(v) <- false) cut.valve_ids in
-  let weight_for (_prob, mapping) =
+  let absorb cut =
+    List.iter (fun v -> remaining.(v) <- false) cut.valve_ids;
+    cuts := cut :: !cuts
+  in
+  let weight_for mapping =
     Array.map
       (fun e ->
         match Fpva.valve_id_opt fpva e with
@@ -177,72 +177,52 @@ let generate ?(engine = Cover.default_engine) ?anti_masking
         | Some _ | None -> 0.0)
       mapping.crossed
   in
+  (* The irredundant core of a valid cut: only essential valves detect. *)
+  let core mapping path =
+    let cut = of_problem_path fpva mapping path in
+    if is_valid fpva cut then
+      Some (minimize fpva ~drop_first:(fun v -> not remaining.(v)) cut)
+    else None
+  in
+  (* Repeatedly extract the cut whose essential core retires the most
+     remaining valves.  The coverage loop tracks the {e minimized} cut, not
+     the raw dual-path crossings. *)
   List.iter
-    (fun ((prob, mapping) as spec) ->
-      (* Repeatedly extract the cut whose essential core retires the most
-         remaining valves.  The coverage loop tracks the {e minimized} cut,
-         not the raw dual-path crossings: only essential valves detect. *)
-      let rec loop salt stall =
-        if
-          Array.exists (fun b -> b) remaining
-          && stall < 3
-          && not (Budget.exhausted budget)
-        then begin
-          let weight = weight_for spec in
-          match find_one engine prob ~weight ~salt with
-          | None -> ()
-          | Some path ->
-            let cut = of_problem_path fpva mapping path in
-            if not (is_valid fpva cut) then loop (salt + 1) (stall + 1)
-            else begin
-              let cut =
-                minimize fpva ~drop_first:(fun v -> not remaining.(v)) cut
-              in
-              let gain =
-                List.fold_left
-                  (fun acc v -> if remaining.(v) then acc + 1 else acc)
-                  0 cut.valve_ids
-              in
-              if gain = 0 then loop (salt + 1) (stall + 1)
-              else begin
-                absorb cut;
-                cuts := cut :: !cuts;
-                loop salt 0
-              end
-            end
-        end
-      in
-      loop 0 0)
+    (fun (prob, mapping) ->
+      Cover.greedy ~budget ?stats engine prob
+        ~pending:(fun () -> Array.exists Fun.id remaining)
+        ~weight:(fun () -> weight_for mapping)
+        ~absorb:(fun path ->
+          match core mapping path with
+          | Some cut when List.exists (fun v -> remaining.(v)) cut.valve_ids ->
+            absorb cut;
+            true
+          | Some _ | None -> false))
     specs;
   (* Per-valve targeted pass: weight the leftover valve's dual crossing
-     heavily in every arc-pair instance before giving up on it. *)
+     heavily in every arc-pair instance before giving up on it.  The
+     instances share one dual graph, hence one mapping. *)
   Array.iteri
     (fun vid needed ->
-      if needed then begin
+      match specs with
+      | (_, mapping) :: _ when needed ->
         let te = Fpva.edge_of_valve fpva vid in
-        let try_spec (prob, mapping) =
-          if remaining.(vid) && not (Budget.exhausted budget) then begin
-            let weight = weight_for (prob, mapping) in
-            Array.iteri
-              (fun de e -> if e = te then weight.(de) <- 1000.0)
-              mapping.crossed;
-            match find_one engine prob ~weight ~salt:(vid + 104729) with
-            | None -> ()
-            | Some path ->
-              let cut = of_problem_path fpva mapping path in
-              if is_valid fpva cut then begin
-                let cut =
-                  minimize fpva ~drop_first:(fun v -> not remaining.(v)) cut
-                in
-                if List.mem vid cut.valve_ids then begin
-                  absorb cut;
-                  cuts := cut :: !cuts
-                end
-              end
-          end
+        let attempt (prob, _) =
+          let weight = weight_for mapping in
+          Array.iteri
+            (fun de e -> if e = te then weight.(de) <- 1000.0)
+            mapping.crossed;
+          (prob, weight, vid + 104729)
         in
-        List.iter try_spec specs
-      end)
+        let accept path =
+          match core mapping path with
+          | Some cut when List.mem vid cut.valve_ids -> Some cut
+          | Some _ | None -> None
+        in
+        Option.iter absorb
+          (Cover.targeted ~budget ?stats engine ~accept
+             (List.map attempt specs))
+      | _ -> ())
     remaining;
   let uncovered = ref [] in
   for v = Array.length remaining - 1 downto 0 do

@@ -11,7 +11,12 @@
     — exactly the paper's two boundary-search valve sets.  The anti-masking
     constraint (eq. 9) forbids a cut that could be reproduced by one extra
     valve: if a path visits both corners of a valve's dual segment it must
-    cross that valve. *)
+    cross that valve.
+
+    Covering runs the {!Cover} driver's two passes: {!Cover.greedy} on each
+    arc-pair instance, each cut retiring the valves of its irredundant
+    core, then {!Cover.targeted} on every leftover valve across all
+    instances. *)
 
 open Fpva_grid
 
@@ -26,8 +31,9 @@ type mapping
 val problems :
   ?anti_masking:bool -> Fpva.t -> (Problem.t * mapping) list
 (** One dual path instance per admissible pair of outline arcs (for the
-    standard one-source/one-sink layouts: exactly one instance).
-    [anti_masking] (default true) enables eq. (9). *)
+    standard one-source/one-sink layouts: exactly one instance).  The
+    instances differ only in their end arcs: they share one dual graph and
+    one mapping.  [anti_masking] (default true) enables eq. (9). *)
 
 val crossed_edge_of_mapping : mapping -> int -> Coord.edge option
 (** The primal edge crossed by a dual (problem) edge id; [None] if the id
@@ -56,8 +62,8 @@ val generate :
     ids that are essential in no generated cut (to be handled by
     pierced-path vectors — see {!Test_vector.of_pierced_path}).  Every
     returned cut is verified to separate sources from sinks.  Engine calls
-    go through {!Cover.find_salted} and respect [budget]; leftover valves on
-    early stop are reported uncovered, telemetry lands in [stats]. *)
+    respect [budget]; leftover valves on early stop are reported uncovered,
+    telemetry lands in [stats]. *)
 
 val is_valid : Fpva.t -> t -> bool
 (** Does closing the cut's valves disconnect all sinks from all sources? *)

@@ -462,98 +462,22 @@ let tested_valves fpva path =
     ~watched:(fun n -> sinks.(n))
     (fun _ is_cut -> List.filter is_cut path.valve_ids)
 
-(* Generation absorbs only detection-verified valves (see tested_valves):
-   a greedy covering loop followed by a per-valve targeted mop-up, both
-   driving the engine with weights over the still-unverified valves. *)
-let generate ?(engine = Cover.default_engine) ?(use_seeds = true)
-    ?(budget = Budget.unlimited) ?stats fpva =
-  let prob, mapping = problem fpva in
-  let nv = Fpva.num_valves fpva in
-  let remaining = Array.make nv true in
-  List.iter (fun v -> remaining.(v) <- false) mapping.bypassed_valves;
-  let accepted = ref [] in
-  let absorb path =
-    let tested = tested_valves fpva path in
-    let gain =
-      List.fold_left
-        (fun acc v -> if remaining.(v) then acc + 1 else acc)
-        0 tested
-    in
-    if gain > 0 then begin
-      List.iter (fun v -> remaining.(v) <- false) tested;
-      accepted := path :: !accepted;
-      true
-    end
-    else false
-  in
-  let weight_for ?focus () =
-    let w = Array.make prob.Problem.num_edges 0.0 in
-    (* Focused mop-up uses a pure single-edge weight: any background weight
-       drags the optimum through other awkward valves (typically clustered
-       near port cells), where multi-source re-feeding untests the target.
-       With a pure weight every path through the target ties, the engine's
-       tie-break prefers the shortest, and short paths are testable. *)
-    (match focus with
-    | Some v -> (
-      match mapping.edge_id_of (Fpva.edge_of_valve fpva v) with
-      | Some e -> w.(e) <- 1000.0
-      | None -> ())
-    | None ->
-      Array.iteri
-        (fun v needed ->
-          if needed then
-            match mapping.edge_id_of (Fpva.edge_of_valve fpva v) with
-            | Some e -> w.(e) <- 1.0
-            | None -> ())
-        remaining);
-    w
-  in
-  let find_with weight salt =
-    Cover.find_salted ~budget ?stats ~salt engine prob ~weight
-  in
-  (* Serpentine seeds first. *)
-  if use_seeds then
-    List.iter
-      (fun seed ->
-        match Problem.path_ok prob seed with
-        | Ok () -> ignore (absorb (of_problem_path fpva mapping seed))
-        | Error _ -> ())
-      (serpentine_seeds fpva);
-  (* Greedy loop. *)
-  let rec loop salt stall =
-    if
-      Array.exists (fun b -> b) remaining
-      && stall < 3
-      && not (Budget.exhausted budget)
-    then begin
-      match find_with (weight_for ()) salt with
-      | None -> ()
-      | Some p ->
-        let path = of_problem_path fpva mapping p in
-        if absorb path then loop salt 0 else loop (salt + 1) (stall + 1)
-    end
-  in
-  loop 0 0;
-  (* Targeted mop-up per remaining valve. *)
-  Array.iteri
-    (fun v needed ->
-      if needed then begin
-        let try_salt salt =
-          if remaining.(v) && not (Budget.exhausted budget) then begin
-            match find_with (weight_for ~focus:v ()) (v + salt) with
-            | None -> ()
-            | Some p ->
-              let path = of_problem_path fpva mapping p in
-              let tested = tested_valves fpva path in
-              if List.mem v tested then ignore (absorb path)
-          end
-        in
-        List.iter try_salt [ 104729; 31337; 777; 999983 ]
-      end)
-    remaining;
-  let uncovered = ref [] in
-  Array.iteri (fun v b -> if b then uncovered := v :: !uncovered) remaining;
-  (List.rev !accepted, List.rev !uncovered @ mapping.bypassed_valves)
+(* Coverage absorbs only detection-verified valves (see tested_valves):
+   multi-source chips can re-feed a path mid-route, silently untesting its
+   upstream valves. *)
+let cover ?(engine = Cover.default_engine) ?seeds ?budget ?stats fpva
+    (prob, mapping) ~pending =
+  Cover.run ?budget ?stats ?seeds engine prob ~pending
+    ~edge_of:(fun v -> mapping.edge_id_of (Fpva.edge_of_valve fpva v))
+    ~decode:(of_problem_path fpva mapping) ~retires:(tested_valves fpva)
+
+let generate ?engine ?(use_seeds = true) ?budget ?stats fpva =
+  let ((_, mapping) as instance) = problem fpva in
+  let pending = Array.make (Fpva.num_valves fpva) true in
+  List.iter (fun v -> pending.(v) <- false) mapping.bypassed_valves;
+  let seeds = if use_seeds then serpentine_seeds fpva else [] in
+  let outcome = cover ?engine ~seeds ?budget ?stats fpva instance ~pending in
+  (outcome.Cover.paths, outcome.Cover.uncovered @ mapping.bypassed_valves)
 
 let minimum ?bb_options ~max_paths fpva =
   let prob, mapping = problem fpva in

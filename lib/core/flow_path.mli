@@ -3,7 +3,9 @@
     A flow path is a simple source-to-sink route; applied as a test vector
     it opens exactly its own valves.  A missing sink pressure then flags a
     stuck-at-0 valve on the path.  Every valve must lie on at least one
-    generated path. *)
+    generated path.  {!cover} is the one flow-path cover, the {!Cover}
+    driver over the channel-contracted instance; both the direct model
+    ({!generate}) and the hierarchy's fallback ({!Hierarchy}) run it. *)
 
 open Fpva_grid
 
@@ -64,6 +66,21 @@ val serpentine_seeds : Fpva.t -> Problem.path list
     with which a full [n x n] array is covered by two paths, as in the
     paper's Fig. 8(a).  Empty when obstacles/ports rule them out. *)
 
+val cover :
+  ?engine:Cover.engine ->
+  ?seeds:Problem.path list ->
+  ?budget:Budget.t ->
+  ?stats:Cover.stats ->
+  Fpva.t ->
+  Problem.t * mapping ->
+  pending:bool array ->
+  t Cover.outcome
+(** [cover t (problem t) ~pending] covers the pending valves with flow
+    paths: {!Cover.run} over the instance, each valve worth its edge, each
+    path retiring its {!tested_valves}.  [pending] is cleared as valves
+    are retired; [uncovered] lists the valves still pending.  [seeds] are
+    instance paths tried first. *)
+
 val generate :
   ?engine:Cover.engine ->
   ?use_seeds:bool ->
@@ -71,13 +88,13 @@ val generate :
   ?stats:Cover.stats ->
   Fpva.t ->
   t list * int list
-(** [generate t] covers all valves with flow paths.  Returns the paths and
-    the ids of valves that could not be covered (empty for any layout whose
-    valves are all reachable — guaranteed after [Fpva.validate]).
-    [use_seeds] (default true) tries {!serpentine_seeds} first.  All engine
-    calls go through {!Cover.find_salted}: they respect [budget] (loops stop
-    early, leaving the rest uncovered), fall back to randomized search on
-    solver failure, and record telemetry in [stats]. *)
+(** [generate t] covers all valves with flow paths ({!cover}).  Returns the
+    paths and the ids of valves that could not be covered, the
+    {!bypassed_valves} last (empty for any layout whose valves are all
+    reachable — guaranteed after [Fpva.validate]).  [use_seeds] (default
+    true) tries {!serpentine_seeds} first.  Engine calls respect [budget]
+    (loops stop early, leaving the rest uncovered), fall back to randomized
+    search on solver failure, and record telemetry in [stats]. *)
 
 val minimum :
   ?bb_options:Fpva_milp.Branch_bound.options ->

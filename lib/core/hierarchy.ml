@@ -31,11 +31,7 @@ let block_of_cell options (c : Coord.cell) =
 
 (* ---------- Top-level block problem ---------- *)
 
-type top_mapping = {
-  blocks_c : int;
-  num_blocks : int;
-  port_count : int;
-}
+type top_mapping = { blocks_c : int; num_blocks : int }
 
 let traversable fpva e =
   match Fpva.edge_state fpva e with
@@ -106,7 +102,7 @@ let top_problem options fpva =
       ~required:(Vec.to_array required) ~terminal
       ~starts:(Vec.to_array starts) ~ends:(Vec.to_array ends) ()
   in
-  (prob, { blocks_c; num_blocks; port_count = Array.length ports }, borders)
+  (prob, { blocks_c; num_blocks })
 
 (* Decode a top-level problem path into (source port, block route, sink
    port). *)
@@ -390,28 +386,27 @@ let stitch_instance ?budget ?stats options fpva ~need (src, route, snk) =
 
 let generate ?(options = default_options) ?(budget = Budget.unlimited) ?stats
     fpva =
-  let prob, mapping, _borders = top_problem options fpva in
+  let prob, mapping = top_problem options fpva in
   let top_paths =
     if Problem.num_required prob = 0 then bfs_routes options fpva
     else begin
-      let outcome = Cover.run ~engine:options.engine ~budget ?stats prob in
+      let outcome =
+        Cover.run ~budget ?stats options.engine prob
+          ~pending:(Array.copy prob.Problem.required) ~edge_of:Option.some
+          ~decode:Fun.id ~retires:(fun p -> p.Problem.edges)
+      in
       match outcome.Cover.paths with
       | [] -> bfs_routes options fpva
       | paths -> List.map (decode_top mapping) paths
     end
   in
+  (* Bypassed valves are retired up front: no path can test them, so they
+     must not pull segment weights toward them. *)
+  let ((_, fmapping) as instance) = Flow_path.problem fpva in
+  let bypassed = Flow_path.bypassed_valves fmapping in
   let need = Array.make (Fpva.num_valves fpva) true in
+  List.iter (fun v -> need.(v) <- false) bypassed;
   let paths = ref [] in
-  let stitched = ref 0 in
-  (* Only detection-verified valves count as covered (multi-source chips can
-     re-feed a path mid-route, silently untesting its upstream valves). *)
-  let gain_of tested =
-    List.fold_left (fun acc v -> if need.(v) then acc + 1 else acc) 0 tested
-  in
-  let gain p = gain_of (Flow_path.tested_valves fpva p) in
-  let absorb p =
-    List.iter (fun v -> need.(v) <- false) (Flow_path.tested_valves fpva p)
-  in
   let instances = ref 0 in
   let rec rounds budget_left =
     if
@@ -431,10 +426,13 @@ let generate ?(options = default_options) ?(budget = Budget.unlimited) ?stats
             | None -> ()
             | Some p ->
               incr instances;
-              if gain p > 0 then begin
-                absorb p;
+              (* Only detection-verified valves count as covered
+                 (multi-source chips can re-feed a path mid-route, silently
+                 untesting its upstream valves). *)
+              let tested = Flow_path.tested_valves fpva p in
+              if List.exists (fun v -> need.(v)) tested then begin
+                List.iter (fun v -> need.(v) <- false) tested;
                 paths := p :: !paths;
-                incr stitched;
                 progressed := true
               end)
         top_paths;
@@ -442,84 +440,16 @@ let generate ?(options = default_options) ?(budget = Budget.unlimited) ?stats
     end
   in
   rounds options.max_instances;
+  let stitched = List.rev !paths in
   (* Direct fallback for anything the stitched routes could not reach. *)
-  let fallback = ref 0 in
-  if Array.exists (fun b -> b) need then begin
-    let fprob, fmapping = Flow_path.problem fpva in
-    let weight_for () =
-      let w = Array.make fprob.Problem.num_edges 0.0 in
-      Array.iteri
-        (fun vid needed ->
-          if needed then
-            match
-              Flow_path.edge_id_of_mapping fmapping (Fpva.edge_of_valve fpva vid)
-            with
-            | Some e -> w.(e) <- 1.0
-            | None -> ())
-        need;
-      w
-    in
-    let find_with weight salt =
-      Cover.find_salted ~budget ?stats ~salt options.engine fprob ~weight
-    in
-    let rec mop_up guard =
-      if
-        guard > 0
-        && Array.exists (fun b -> b) need
-        && not (Budget.exhausted budget)
-      then begin
-        let weight = weight_for () in
-        match find_with weight 0 with
-        | None -> ()
-        | Some p ->
-          let path = Flow_path.of_problem_path fpva fmapping p in
-          if gain path > 0 then begin
-            absorb path;
-            paths := path :: !paths;
-            incr fallback;
-            mop_up (guard - 1)
-          end
-      end
-    in
-    mop_up (Fpva.num_valves fpva);
-    (* Per-valve targeted pass for anything greedy weighting starved. *)
-    Array.iteri
-      (fun vid needed ->
-        if needed then begin
-          match
-            Flow_path.edge_id_of_mapping fmapping (Fpva.edge_of_valve fpva vid)
-          with
-          | None -> ()
-          | Some e ->
-            (* pure focus: background weight drags the path through other
-               leftovers where multi-source re-feeding untests the target *)
-            let try_salt salt =
-              if need.(vid) && not (Budget.exhausted budget) then begin
-                let weight = Array.make fprob.Problem.num_edges 0.0 in
-                weight.(e) <- 1000.0;
-                match find_with weight (vid + salt) with
-                | None -> ()
-                | Some p ->
-                  let path = Flow_path.of_problem_path fpva fmapping p in
-                  if
-                    List.mem vid (Flow_path.tested_valves fpva path)
-                  then begin
-                    absorb path;
-                    paths := path :: !paths;
-                    incr fallback
-                  end
-              end
-            in
-            List.iter try_salt [ 104729; 31337; 777; 999983 ]
-        end)
-      need
-  end;
-  let uncovered = ref [] in
-  Array.iteri (fun v b -> if b then uncovered := v :: !uncovered) need;
+  let fallback =
+    Flow_path.cover ~engine:options.engine ~budget ?stats fpva instance
+      ~pending:need
+  in
   {
-    paths = List.rev !paths;
+    paths = stitched @ fallback.Cover.paths;
     top_routes = List.map (fun (_, r, _) -> r) top_paths;
-    stitched = !stitched;
-    fallback = !fallback;
-    uncovered = List.rev !uncovered;
+    stitched = List.length stitched;
+    fallback = List.length fallback.Cover.paths;
+    uncovered = fallback.Cover.uncovered @ bypassed;
   }

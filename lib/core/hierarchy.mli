@@ -8,11 +8,15 @@
     must appear in some stitched path, and all valves — inside blocks and
     on block borders — must end up covered.
 
-    Compared to the direct model the hierarchy yields more (but shorter,
-    and much cheaper to find) paths, reproducing the paper's Fig. 8
-    contrast.  Valves the stitched routes cannot reach (rare, layouts with
-    extreme obstacles) are mopped up by a direct covering fallback, so the
-    generator never sacrifices coverage for hierarchy. *)
+    The top-level routes are a {!Cover.run} over the block graph, whose
+    items are the block borders that hold a valve.  Compared to the direct
+    model the hierarchy yields more (but shorter, and much cheaper to find)
+    paths, reproducing the paper's Fig. 8 contrast.  Valves the stitched
+    routes cannot reach (layouts with channels or extreme obstacles) are
+    mopped up by the direct model's own cover ({!Flow_path.cover}), so the
+    generator never sacrifices coverage for hierarchy.  Bypassed valves
+    ({!Flow_path.bypassed_valves}) are retired before any search and
+    reported uncovered, as the direct model does. *)
 
 open Fpva_grid
 
@@ -33,7 +37,8 @@ type result = {
       (** top-level routes as block-coordinate sequences *)
   stitched : int;  (** paths produced by stitching *)
   fallback : int;  (** paths added by the direct fallback *)
-  uncovered : int list;  (** valve ids no path could reach *)
+  uncovered : int list;
+      (** valve ids no path could reach, the bypassed valves last *)
 }
 
 val generate :

@@ -170,8 +170,9 @@ and run_validated config budget fpva =
           | Ok () -> true
           | Error _ -> false
         in
-        let fresh_path v salt =
-          let prob, mapping = Flow_path.problem fpva in
+        let instance = lazy (Flow_path.problem fpva) in
+        let probe v =
+          let prob, mapping = Lazy.force instance in
           match
             Flow_path.edge_id_of_mapping mapping (Fpva.edge_of_valve fpva v)
           with
@@ -179,17 +180,15 @@ and run_validated config budget fpva =
           | Some e ->
             let weight = Array.make prob.Problem.num_edges 0.0 in
             weight.(e) <- 1000.0;
-            let found =
-              Cover.find_salted ~budget:cut_budget ~stats:cut_stats ~salt
-                config.engine prob ~weight
-            in
-            (match found with
-            | Some pp ->
-              let path = Flow_path.of_problem_path fpva mapping pp in
+            let accept p =
+              let path = Flow_path.of_problem_path fpva mapping p in
               if List.mem v path.Flow_path.valve_ids && usable v path then
                 Some path
               else None
-            | None -> None)
+            in
+            Cover.targeted ~budget:cut_budget ~stats:cut_stats config.engine
+              ~accept
+              (List.map (fun salt -> (prob, weight, salt)) Cover.default_salts)
         in
         let pierced, still =
           List.partition_map
@@ -202,7 +201,7 @@ and run_validated config budget fpva =
               match existing with
               | Some p -> Either.Left (p, v)
               | None -> (
-                match List.find_map (fresh_path v) Cover.default_salts with
+                match probe v with
                 | Some p -> Either.Left (p, v)
                 | None -> Either.Right v))
             leftover

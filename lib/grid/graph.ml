@@ -1,12 +1,6 @@
-type node = Cell of Coord.cell | Port of int
-
 (* ------------------------------------------------------------------ *)
 (* Compiled traversal                                                  *)
 (* ------------------------------------------------------------------ *)
-
-let node_id comp = function
-  | Cell c -> Compiled.cell_node comp c
-  | Port i -> Compiled.port_node comp i
 
 (* The one BFS engine: flat int worklist, generation-stamped visited set,
    zero allocation.  [stop] is tested on every newly marked node; once it
@@ -70,12 +64,6 @@ let separates_c comp scratch ~closed_valve =
   run_bfs comp scratch ~open_valve ~sources:(Compiled.source_nodes comp)
     ~stop:(fun n -> mask.(n))
   < 0
-
-let reachable_c comp scratch ~open_valve ~from target =
-  (* Seed nodes are marked before the stop test runs on them, so a target
-     that is itself a seed is found without expanding anything. *)
-  run_bfs comp scratch ~open_valve ~sources:from ~stop:(fun n -> n = target)
-  >= 0
 
 (* Tarjan's bridge search over the open arcs, as an explicit-stack DFS.
    Closing a valve only ever removes pressure, so it changes what a node
@@ -146,31 +134,3 @@ let cut_valves_c comp (s : Compiled.scratch) ~open_valve ~watched ~on_cut =
   done;
   s.Compiled.gen <- !clock;
   !last_watched > start
-
-(* ------------------------------------------------------------------ *)
-(* Polymorphic API: thin wrappers that compile on demand               *)
-(* ------------------------------------------------------------------ *)
-
-(* The edge predicates of the polymorphic API are only ever consulted on
-   valve edges (open channels pass and walls block unconditionally), so
-   restricting them to valve ids loses nothing. *)
-let open_valve_of_pred comp open_edge v = open_edge (Compiled.valve_edge comp v)
-
-let reachable t ~open_edge ~from n =
-  let comp = Compiled.get t in
-  let from = Array.of_list (List.map (node_id comp) from) in
-  Compiled.with_scratch comp (fun s ->
-      reachable_c comp s ~open_valve:(open_valve_of_pred comp open_edge)
-        ~from (node_id comp n))
-
-let pressurized_sinks t ~open_edge =
-  let comp = Compiled.get t in
-  Compiled.with_scratch comp (fun s ->
-      pressurized_sinks_c comp s
-        ~open_valve:(open_valve_of_pred comp open_edge))
-
-let separates t ~closed_edge =
-  let comp = Compiled.get t in
-  Compiled.with_scratch comp (fun s ->
-      separates_c comp s
-        ~closed_valve:(fun v -> closed_edge (Compiled.valve_edge comp v)))

@@ -30,7 +30,7 @@ type fault =
       (* the first [n] calls raise [Injected_failure]; later calls pass
          through: a backend that recovers after a restart *)
 
-(* Contained by [Cover.find_one]'s exception guard. *)
+(* Contained by the exception guard of [Cover.find_robust]. *)
 exception Injected_failure
 
 (* [calls] counts engine invocations seen by the wrapper, [injected] the
@@ -83,11 +83,14 @@ let flaky_read ~flips read attempt =
   let r = read attempt in
   if List.mem attempt flips then not r else r
 
-(* [wrap fault base] is a [Custom] engine that consults [base] (via the
-   audited [Cover.find_one]) and then injects [fault]. *)
+(* [wrap fault base] is a [Custom] engine that consults [base] (one
+   audited attempt: [Cover.find_robust] with no fallback salts) and then
+   injects [fault]. *)
 let wrap ?monitor:m fault base =
   let m = match m with Some m -> m | None -> monitor () in
-  let base_find problem ~weight = Cover.find_one base problem ~weight in
+  let base_find problem ~weight =
+    Cover.find_robust ~salts:[] base problem ~weight
+  in
   let find problem ~weight =
     m.calls <- m.calls + 1;
     match fault with

@@ -9,6 +9,8 @@
 
 open Fpva_grid
 
+type node = Cell of Coord.cell | Port of int  (** index into [Fpva.ports] *)
+
 let cell_neighbors t ~open_edge c =
   let step acc d =
     let n = Coord.move c d in
@@ -16,8 +18,8 @@ let cell_neighbors t ~open_edge c =
       let e = Coord.edge_towards c d in
       match Fpva.edge_state t e with
       | Fpva.Wall -> acc
-      | Fpva.Open_channel -> Graph.Cell n :: acc
-      | Fpva.Valve -> if open_edge e then Graph.Cell n :: acc else acc
+      | Fpva.Open_channel -> Cell n :: acc
+      | Fpva.Valve -> if open_edge e then Cell n :: acc else acc
     end
     else acc
   in
@@ -26,7 +28,7 @@ let cell_neighbors t ~open_edge c =
 let ports_of_cell t ports c =
   let out = ref [] in
   Array.iteri
-    (fun i p -> if Fpva.port_cell t p = c then out := Graph.Port i :: !out)
+    (fun i p -> if Fpva.port_cell t p = c then out := Port i :: !out)
     ports;
   !out
 
@@ -38,19 +40,19 @@ let bfs t ~open_edge ~from =
   let seen_cell = Array.make (Fpva.rows t * nc) false in
   let seen_port = Array.make (max (Array.length ports) 1) false in
   let mark = function
-    | Graph.Cell c ->
+    | Cell c ->
       let i = (c.Coord.row * nc) + c.Coord.col in
       let was = seen_cell.(i) in
       seen_cell.(i) <- true;
       was
-    | Graph.Port i ->
+    | Port i ->
       let was = seen_port.(i) in
       seen_port.(i) <- true;
       was
   in
   let neighbors = function
-    | Graph.Port i -> [ Graph.Cell (Fpva.port_cell t ports.(i)) ]
-    | Graph.Cell c -> cell_neighbors t ~open_edge c @ ports_of_cell t ports c
+    | Port i -> [ Cell (Fpva.port_cell t ports.(i)) ]
+    | Cell c -> cell_neighbors t ~open_edge c @ ports_of_cell t ports c
   in
   let queue = Queue.create () in
   List.iter (fun n -> if not (mark n) then Queue.add n queue) from;
@@ -64,13 +66,13 @@ let bfs t ~open_edge ~from =
 let reachable t ~open_edge ~from n =
   let seen_cell, seen_port = bfs t ~open_edge ~from in
   match n with
-  | Graph.Cell c -> seen_cell.((c.Coord.row * Fpva.cols t) + c.Coord.col)
-  | Graph.Port i -> seen_port.(i)
+  | Cell c -> seen_cell.((c.Coord.row * Fpva.cols t) + c.Coord.col)
+  | Port i -> seen_port.(i)
 
 let source_nodes t =
   let out = ref [] in
   Array.iteri
-    (fun i p -> if p.Fpva.kind = Fpva.Source then out := Graph.Port i :: !out)
+    (fun i p -> if p.Fpva.kind = Fpva.Source then out := Port i :: !out)
     (Fpva.ports t);
   !out
 
@@ -85,6 +87,23 @@ let separates t ~closed_edge =
     (fun i p -> if p.Fpva.kind = Fpva.Sink && pressure.(i) then ok := false)
     (Fpva.ports t);
   !ok
+
+(* Polymorphic wrappers over the compiled traversals: they fetch the
+   layout's cached compilation, borrow a scratch and consult the edge
+   predicate on valve edges only, as the reference walk does. *)
+module Compiled_api = struct
+  let pressurized_sinks t ~open_edge =
+    let comp = Compiled.get t in
+    Compiled.with_scratch comp (fun s ->
+        Graph.pressurized_sinks_c comp s ~open_valve:(fun v ->
+            open_edge (Compiled.valve_edge comp v)))
+
+  let separates t ~closed_edge =
+    let comp = Compiled.get t in
+    Compiled.with_scratch comp (fun s ->
+        Graph.separates_c comp s ~closed_valve:(fun v ->
+            closed_edge (Compiled.valve_edge comp v)))
+end
 
 (* The per-valve sweep [Flow_path.tested_valves] and [Flow_path.sound]
    replaced with one bridge search: the path's vector opens exactly its

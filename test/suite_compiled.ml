@@ -135,19 +135,6 @@ let cache_tests =
 
 let traversal_tests =
   [
-    case "reachable stops early yet agrees with the spec" (fun () ->
-        let t = small_full_layout 3 4 in
-        Fpva.set_edge t (Coord.E (Coord.cell 1 1)) Fpva.Wall;
-        let from = [ Graph.Cell (Coord.cell 0 0) ] in
-        List.iter
-          (fun (target, open_edge) ->
-            checkb "wrapper agrees with spec"
-              (Graph_oracle.reachable t ~open_edge ~from target)
-              (Graph.reachable t ~open_edge ~from target))
-          [ (Graph.Cell (Coord.cell 2 3), fun _ -> true);
-            (Graph.Cell (Coord.cell 2 3), fun _ -> false);
-            (Graph.Port 0, fun _ -> true);
-            (Graph.Cell (Coord.cell 0 0), fun _ -> false) ]);
     case "scratch reuse across traversals is safe" (fun () ->
         let t = small_full_layout 4 4 in
         let comp = Compiled.get t in

@@ -161,15 +161,18 @@ let fpva_tests =
 
 (* ---------- Graph ---------- *)
 
+(* The polymorphic wrappers over the compiled traversals. *)
+module G = Graph_oracle.Compiled_api
+
 let graph_tests =
   [
     case "all-open: sink pressurized" (fun () ->
         let t = small_full_layout 3 3 in
-        let p = Graph.pressurized_sinks t ~open_edge:(fun _ -> true) in
+        let p = G.pressurized_sinks t ~open_edge:(fun _ -> true) in
         checkb "sink sees pressure" true (Array.exists (fun b -> b) p));
     case "all-closed: sink dark" (fun () ->
         let t = small_full_layout 3 3 in
-        let p = Graph.pressurized_sinks t ~open_edge:(fun _ -> false) in
+        let p = G.pressurized_sinks t ~open_edge:(fun _ -> false) in
         Array.iteri
           (fun i b ->
             if (Fpva.ports t).(i).Fpva.kind = Fpva.Sink then
@@ -183,7 +186,7 @@ let graph_tests =
           | Coord.E c -> c.Coord.row = 1
           | Coord.S _ -> false
         in
-        let p = Graph.pressurized_sinks t ~open_edge in
+        let p = G.pressurized_sinks t ~open_edge in
         Array.iteri
           (fun i b ->
             if (Fpva.ports t).(i).Fpva.kind = Fpva.Sink then
@@ -197,29 +200,29 @@ let graph_tests =
           | Coord.E c -> c.Coord.col = 1
           | Coord.S _ -> false
         in
-        checkb "separated" true (Graph.separates t ~closed_edge:closed);
+        checkb "separated" true (G.separates t ~closed_edge:closed);
         checkb "not separated" false
-          (Graph.separates t ~closed_edge:(fun _ -> false)));
+          (G.separates t ~closed_edge:(fun _ -> false)));
     case "reachable respects obstacles" (fun () ->
         let t = small_full_layout 3 3 in
         Fpva.set_obstacle t (Coord.cell 0 1);
         checkb "obstacle cell unreachable" false
-          (Graph.reachable t
+          (Graph_oracle.reachable t
              ~open_edge:(fun _ -> true)
-             ~from:[ Graph.Cell (Coord.cell 0 0) ]
-             (Graph.Cell (Coord.cell 0 1)));
+             ~from:[ Graph_oracle.Cell (Coord.cell 0 0) ]
+             (Graph_oracle.Cell (Coord.cell 0 1)));
         checkb "detour exists" true
-          (Graph.reachable t
+          (Graph_oracle.reachable t
              ~open_edge:(fun _ -> true)
-             ~from:[ Graph.Cell (Coord.cell 0 0) ]
-             (Graph.Cell (Coord.cell 0 2))));
+             ~from:[ Graph_oracle.Cell (Coord.cell 0 0) ]
+             (Graph_oracle.Cell (Coord.cell 0 2))));
     qcheck_layout ~count:60 "separates is monotone in the closed set"
       (fun t ->
         (* if closing S separates, closing S ∪ extra still separates *)
         let closed1 e = match e with Coord.E _ -> true | Coord.S _ -> false in
         let closed2 _ = true in
-        (not (Graph.separates t ~closed_edge:closed1))
-        || Graph.separates t ~closed_edge:closed2);
+        (not (G.separates t ~closed_edge:closed1))
+        || G.separates t ~closed_edge:closed2);
   ]
 
 (* ---------- Dual ---------- *)

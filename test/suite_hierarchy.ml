@@ -12,6 +12,21 @@ let tests =
         checkb "last of block" true (Hierarchy.block_of_cell o (Coord.cell 4 4) = (0, 0));
         checkb "next block" true (Hierarchy.block_of_cell o (Coord.cell 5 4) = (1, 0));
         checkb "east block" true (Hierarchy.block_of_cell o (Coord.cell 4 5) = (0, 1)));
+    case "bypassed valve retired up front in both modes" (fun () ->
+        (* Channels E(2,2), S(2,2) and S(2,3) join cells (2,2), (2,3),
+           (3,2) and (3,3) into one fluid node, so valve E(3,2) between
+           the last two is permanently bypassed. *)
+        let t = Layouts.full ~rows:6 ~cols:6 in
+        List.iter
+          (fun e -> Fpva.set_edge t e Fpva.Open_channel)
+          Coord.[ E (cell 2 2); S (cell 2 2); S (cell 2 3) ];
+        checki "valve id" 16 (Fpva.valve_id t (Coord.E (Coord.cell 3 2)));
+        List.iter
+          (fun config ->
+            let r = Pipeline.run_exn ~config t in
+            check (Alcotest.list Alcotest.int) "uncovered_flow" [ 16 ]
+              r.Pipeline.uncovered_flow)
+          [ Pipeline.default_config; Pipeline.direct_config ]);
     case "10x10 hierarchical covers all valves" (fun () ->
         let t = Layouts.paper_array 10 in
         let r = Hierarchy.generate t in

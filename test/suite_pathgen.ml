@@ -427,16 +427,23 @@ let ilp_tests =
 
 (* ---------- Cover ---------- *)
 
+(* The residual-set cover over a problem's required edges, each item its
+   own edge: the form the hierarchy's top level uses. *)
+let cover_edges ?seeds p =
+  Cover.run ?seeds Cover.default_engine p
+    ~pending:(Array.copy p.Problem.required) ~edge_of:Option.some
+    ~decode:Fun.id ~retires:(fun path -> path.Problem.edges)
+
 let cover_tests =
   [
     case "covers the line in one path" (fun () ->
         let p = line_problem 5 in
-        let outcome = Cover.run p in
+        let outcome = cover_edges p in
         checki "one path" 1 (List.length outcome.Cover.paths);
         checkb "nothing uncovered" true (outcome.Cover.uncovered = []));
     case "diamond needs two paths" (fun () ->
         let p = diamond_problem () in
-        let outcome = Cover.run p in
+        let outcome = cover_edges p in
         checkb "covered" true (Problem.all_required_covered p outcome.Cover.paths);
         checki "two paths" 2 (List.length outcome.Cover.paths));
     case "unreachable required edges reported" (fun () ->
@@ -448,25 +455,25 @@ let cover_tests =
             ~required:[| true; true |] ~terminal ~starts:[| 0 |] ~ends:[| 1 |]
             ()
         in
-        let outcome = Cover.run p in
+        let outcome = cover_edges p in
         check (Alcotest.list Alcotest.int) "uncovered" [ 1 ]
           outcome.Cover.uncovered);
     case "seeds are used when they cover" (fun () ->
         let p = line_problem 4 in
         let seed = { Problem.nodes = [ 0; 1; 2; 3; 4 ]; edges = [ 0; 1; 2; 3 ] } in
-        let outcome = Cover.run ~seeds:[ seed ] p in
+        let outcome = cover_edges ~seeds:[ seed ] p in
         checkb "seed kept" true (List.mem seed outcome.Cover.paths));
     case "invalid seeds dropped" (fun () ->
         let p = line_problem 4 in
         let bogus = { Problem.nodes = [ 0; 2 ]; edges = [ 1 ] } in
-        let outcome = Cover.run ~seeds:[ bogus ] p in
+        let outcome = cover_edges ~seeds:[ bogus ] p in
         checkb "covered anyway" true
           (Problem.all_required_covered p outcome.Cover.paths);
         checkb "bogus dropped" true (not (List.mem bogus outcome.Cover.paths)));
     qcheck_layout ~count:40 "cover accounts for every required edge"
       (fun t ->
         let prob, _ = Flow_path.problem t in
-        let outcome = Cover.run prob in
+        let outcome = cover_edges prob in
         (* paths plus the uncovered report account for all required edges;
            leftovers must defeat a reseeded targeted search too *)
         let cov = Problem.covered prob outcome.Cover.paths in
@@ -492,27 +499,49 @@ let cover_tests =
 
 (* ---------- pinned suites ----------
 
-   The suite text of the paper's arrays under the default configuration,
-   pinned by digest, and the path-search steps the traced run spent: any
-   change to the search's draw order, candidate order or step accounting
-   moves these. *)
+   Suite texts pinned by digest, with the path-search steps the traced run
+   spent: any change to the search's draw order, candidate order or step
+   accounting moves these.  Beside the paper's arrays under the default
+   configuration, the rows pin figure8 (the only one whose cut stage stalls
+   three times and runs its targeted pass and pierced probes), figure9
+   (whose hierarchy falls back to the direct cover for 18 of its 19 flow
+   paths), the direct model, and the exact ILP engine. *)
+
+let ilp_config =
+  { Pipeline.direct_config with
+    Pipeline.engine = Cover.Ilp Fpva_milp.Branch_bound.default_options }
 
 let pinned_tests =
   List.map
-    (fun (n, total, digest, steps) ->
-      slow_case (Printf.sprintf "paper %dx%d suite is pinned" n n) (fun () ->
-          let t = Fpva_grid.Layouts.paper_array n in
+    (fun (name, layout, config, total, digest, steps) ->
+      slow_case (name ^ " suite is pinned") (fun () ->
+          let t = layout () in
           Trace.reset ();
           Trace.enable ();
-          let r = Fun.protect ~finally:Trace.disable (fun () -> Pipeline.run_exn t) in
+          let r =
+            Fun.protect ~finally:Trace.disable (fun () ->
+                Pipeline.run_exn ~config t)
+          in
           checki "N" total r.Pipeline.total;
           check Alcotest.string "digest" digest
             (Digest.to_hex
                (Digest.string (Suite_io.to_string t r.Pipeline.vectors)));
           checki "path_search.steps" steps
             (Trace.count (Trace.counter "path_search.steps"))))
-    [ (5, 17, "7d0c3a4bb6968c0577de3d33c6702658", 2_490_274);
-      (10, 40, "20a29170625e8a0c54d13b3a9937aca4", 6_400_262) ]
+    Fpva_grid.Layouts.
+      [ ("paper 5x5", (fun () -> paper_array 5), Pipeline.default_config, 17,
+         "7d0c3a4bb6968c0577de3d33c6702658", 2_490_274);
+        ("paper 10x10", (fun () -> paper_array 10), Pipeline.default_config,
+         40, "20a29170625e8a0c54d13b3a9937aca4", 6_400_262);
+        ("figure8", figure8, Pipeline.default_config, 44,
+         "2bedb51af5f36e40f26d138570a9d2be", 8_140_141);
+        ("figure9", figure9, Pipeline.default_config, 88,
+         "b75514033efce2874457e87ff198d130", 19_769_680);
+        ("direct paper 10x10", (fun () -> paper_array 10),
+         Pipeline.direct_config, 34, "b16ca49944ef4466947e90c6a3fefa1c",
+         6_400_357);
+        ("ILP full 4x4", (fun () -> full ~rows:4 ~cols:4), ilp_config, 15,
+         "e48f0708a10974e8b4dad5729d183cd5", 0) ]
 
 let tests =
   problem_tests @ search_tests @ oracle_tests @ ilp_tests @ cover_tests

@@ -104,28 +104,6 @@ let tests =
           if legacy <> compiled then ok := false
         done;
         !ok);
-    qcheck_layout ~count:40 "compiled reachable matches the spec" (fun t ->
-        let rng = Fpva_util.Rng.create 31 in
-        let comp = Compiled.get t in
-        let scratch = Compiled.create_scratch comp in
-        let num_ports = Array.length (Fpva.ports t) in
-        let from = [ Graph.Port 0 ] in
-        let from_c = Array.map (Graph.node_id comp) (Array.of_list from) in
-        let ok = ref true in
-        for _ = 1 to 8 do
-          let mask, edge_open = random_valve_mask rng t in
-          let target = Graph.Port (Fpva_util.Rng.int rng num_ports) in
-          let legacy =
-            Graph_oracle.reachable t ~open_edge:edge_open ~from target
-          in
-          let compiled =
-            Graph.reachable_c comp scratch
-              ~open_valve:(fun v -> mask.(v))
-              ~from:from_c (Graph.node_id comp target)
-          in
-          if legacy <> compiled then ok := false
-        done;
-        !ok);
     qcheck_layout ~count:40 "pressure is monotone in the open valve set"
       (fun t ->
         (* opening additional valves can only add pressurized ports *)

@@ -153,28 +153,6 @@ let baseline_tests =
     case "vector_count is 2nv" (fun () ->
         let t = Layouts.paper_array 5 in
         checki "2nv" (2 * Fpva.num_valves t) (Baseline.vector_count t));
-    case "baseline materialises 2nv vectors on a full array" (fun () ->
-        let t = small_full_layout 4 4 in
-        let vectors, missed = Baseline.generate t in
-        checkb "none missed" true (missed = []);
-        checki "count" (2 * Fpva.num_valves t) (List.length vectors);
-        List.iter
-          (fun v ->
-            checkb "well formed" true (Test_vector.well_formed t v = Ok ()))
-          vectors);
-    case "baseline detects every single stuck-at fault" (fun () ->
-        let t = small_full_layout 4 4 in
-        let vectors, _ = Baseline.generate t in
-        for v = 0 to Fpva.num_valves t - 1 do
-          checkb "sa0" true
-            (Fpva_sim.Simulator.detected_by_suite t
-               ~faults:[ Fpva_sim.Fault.Stuck_at_0 v ]
-               vectors);
-          checkb "sa1" true
-            (Fpva_sim.Simulator.detected_by_suite t
-               ~faults:[ Fpva_sim.Fault.Stuck_at_1 v ]
-               vectors)
-        done);
     case "baseline much larger than pipeline suite" (fun () ->
         let t = Layouts.paper_array 5 in
         let r = Pipeline.run_exn t in
