@@ -17,30 +17,9 @@ type mapping = {
    Walking the clockwise corner ring, a new arc starts after every segment
    pierced by a port. *)
 let outline_arcs fpva =
-  let ring = Array.of_list (Dual.boundary_corners fpva) in
+  let ring, seg_port = Dual.outline_ports fpva in
   let n = Array.length ring in
-  let pierced k =
-    (* Segment between ring.(k) and ring.(k+1). *)
-    let a = ring.(k) and b = ring.((k + 1) mod n) in
-    Array.exists
-      (fun (p : Fpva.port) ->
-        let cell = Fpva.port_cell fpva p in
-        let c1, c2 =
-          match p.Fpva.side with
-          | Coord.North ->
-            (Dual.corner 0 cell.Coord.col, Dual.corner 0 (cell.Coord.col + 1))
-          | Coord.South ->
-            ( Dual.corner (Fpva.rows fpva) cell.Coord.col,
-              Dual.corner (Fpva.rows fpva) (cell.Coord.col + 1) )
-          | Coord.West ->
-            (Dual.corner cell.Coord.row 0, Dual.corner (cell.Coord.row + 1) 0)
-          | Coord.East ->
-            ( Dual.corner cell.Coord.row (Fpva.cols fpva),
-              Dual.corner (cell.Coord.row + 1) (Fpva.cols fpva) )
-        in
-        (a = c1 && b = c2) || (a = c2 && b = c1))
-      (Fpva.ports fpva)
-  in
+  let pierced k = seg_port.(k) <> None in
   (* Find a pierced segment to anchor the walk; if none, the whole ring is
      one arc (degenerate: no ports). *)
   let anchor = ref (-1) in

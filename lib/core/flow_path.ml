@@ -9,8 +9,6 @@ type t = {
   sink : int;
 }
 
-type edge_kind = Internal of Coord.edge | Port_link of int
-
 (* Open channels are uncontrollable: fluid moves freely through them no
    matter what the test vector commands.  Cells connected by open channels
    therefore behave as a single fluid node, and a path that visited such a
@@ -21,282 +19,189 @@ type edge_kind = Internal of Coord.edge | Port_link of int
    bypassed — no pressure test can observe their stuck-at-0 fault — and are
    reported instead of covered. *)
 type mapping = {
-  comp_of_cell : int array;  (* cell index -> component id, -1 obstacle *)
-  comp_cells : Coord.cell list array;  (* component id -> member cells *)
-  cols : int;
-  num_comps : int;
-  node_of_port : int -> int;
-  port_of_node : int -> int option;
-  edge_kind : edge_kind array;
+  compiled : Compiled.t;
+  comp_of_cell : int array;  (* cell node -> component id, -1 obstacle *)
+  num_comps : int;  (* port [i] is node [num_comps + i] *)
+  valve_edges : Coord.edge array;
+      (* edge id -> its valve; the ids past the end are the port links *)
   edge_id_of : Coord.edge -> int option;
   bypassed_valves : int list;  (* valves interior to one component *)
-  forbidden : (Coord.edge, unit) Hashtbl.t;
 }
 
-let cell_index cols (c : Coord.cell) = (c.Coord.row * cols) + c.Coord.col
+let of_cells fpva ~source ~sink cells =
+  let rec edges = function
+    | a :: (b :: _ as rest) -> Coord.edge_between a b :: edges rest
+    | [] | [ _ ] -> []
+  in
+  let edges = edges cells in
+  { cells; edges; valve_ids = List.filter_map (Fpva.valve_id_opt fpva) edges;
+    source; sink }
 
-(* Channel-connected components over fluid cells (edges: Open_channel). *)
-let components fpva =
-  let nr = Fpva.rows fpva and nc = Fpva.cols fpva in
-  let comp = Array.make (nr * nc) (-1) in
-  let cells_rev = Vec.create () in
-  let next = ref 0 in
+let with_ports fpva ~num_inner ~inner_of_cell ~edges ~required =
+  let ports = Fpva.ports fpva in
+  let num_nodes = num_inner + Array.length ports in
+  let nodes kind =
+    Array.of_seq
+      (Seq.filter_map
+         (fun (i, p) ->
+           if p.Fpva.kind = kind then Some (num_inner + i) else None)
+         (Array.to_seqi ports))
+  in
+  Problem.build ~num_nodes
+    ~edges:
+      (Array.append edges
+         (Array.mapi
+            (fun i p -> (num_inner + i, inner_of_cell (Fpva.port_cell fpva p)))
+            ports))
+    ~required:(Array.append required (Array.make (Array.length ports) false))
+    ~terminal:(Array.init num_nodes (fun n -> n >= num_inner))
+    ~starts:(nodes Fpva.Source) ~ends:(nodes Fpva.Sink) ()
+
+(* Channel-connected components of the fluid cells, numbered in
+   [Fpva.fluid_cells] order: a sweep over the compiled arcs that join two
+   cells without a valve. *)
+let components comp =
+  let num_cells = Compiled.num_cells comp in
+  let off = Compiled.adj_off comp and node = Compiled.adj_node comp
+  and edge = Compiled.adj_edge comp in
+  let comp_of = Array.make num_cells (-1) in
+  let stack = Array.make num_cells 0 in
+  let count = ref 0 in
   List.iter
     (fun c ->
-      if comp.(cell_index nc c) = -1 then begin
-        let id = !next in
-        incr next;
-        Vec.push cells_rev [];
-        (* BFS through open channels *)
-        let q = Queue.create () in
-        comp.(cell_index nc c) <- id;
-        Queue.add c q;
-        while not (Queue.is_empty q) do
-          let x = Queue.pop q in
-          Vec.set cells_rev id (x :: Vec.get cells_rev id);
-          List.iter
-            (fun d ->
-              let y = Coord.move x d in
-              let e = Coord.edge_towards x d in
-              if Fpva.in_bounds fpva y
-                 && Fpva.cell_state fpva y = Fpva.Fluid
-                 && Fpva.edge_in_bounds fpva e
-                 && Fpva.edge_state fpva e = Fpva.Open_channel
-                 && comp.(cell_index nc y) = -1
-              then begin
-                comp.(cell_index nc y) <- id;
-                Queue.add y q
-              end)
-            Coord.all_dirs
-        done
+      let root = Compiled.cell_node comp c in
+      if comp_of.(root) < 0 then begin
+        comp_of.(root) <- !count;
+        stack.(0) <- root;
+        let top = ref 1 in
+        while !top > 0 do
+          decr top;
+          let u = stack.(!top) in
+          for k = off.(u) to off.(u + 1) - 1 do
+            let v = node.(k) in
+            if edge.(k) < 0 && v < num_cells && comp_of.(v) < 0 then begin
+              comp_of.(v) <- !count;
+              stack.(!top) <- v;
+              incr top
+            end
+          done
+        done;
+        incr count
       end)
-    (Fpva.fluid_cells fpva);
-  (comp, Array.map List.rev (Vec.to_array cells_rev), !next)
+    (Fpva.fluid_cells (Compiled.fpva comp));
+  (comp_of, !count)
 
 let problem ?(forbidden_valves = []) fpva =
-  let forbidden = Hashtbl.create 8 in
-  List.iter
-    (fun vid -> Hashtbl.replace forbidden (Fpva.edge_of_valve fpva vid) ())
-    forbidden_valves;
-  let nc = Fpva.cols fpva in
-  let comp_of_cell, comp_cells, num_comps = components fpva in
-  let ports = Fpva.ports fpva in
-  let num_nodes = num_comps + Array.length ports in
-  let node_of_port i = num_comps + i in
-  let port_of_node n = if n >= num_comps then Some (n - num_comps) else None in
+  let comp = Compiled.get fpva in
+  let comp_of_cell, num_comps = components comp in
+  let comp_of c = comp_of_cell.(Compiled.cell_node comp c) in
   let edges = Vec.create () in
-  let kinds = Vec.create () in
-  let required = Vec.create () in
+  let valve_edges = Vec.create () in
   let edge_ids = Hashtbl.create 64 in
   let bypassed = ref [] in
-  let add_valve e =
-    if not (Hashtbl.mem forbidden e) then begin
-      let a, b = Coord.edge_endpoints e in
-      if Fpva.cell_state fpva a = Fpva.Fluid
-         && Fpva.cell_state fpva b = Fpva.Fluid
-      then begin
-        let ca = comp_of_cell.(cell_index nc a)
-        and cb = comp_of_cell.(cell_index nc b) in
-        if ca = cb then begin
-          match Fpva.valve_id_opt fpva e with
-          | Some vid -> bypassed := vid :: !bypassed
-          | None -> ()
-        end
-        else begin
-          Hashtbl.replace edge_ids e (Vec.length edges);
-          Vec.push edges (ca, cb);
-          Vec.push kinds (Internal e);
-          Vec.push required true
-        end
-      end
-    end
-  in
   for r = 0 to Fpva.rows fpva - 1 do
-    for c = 0 to nc - 1 do
-      let consider e =
-        if Fpva.edge_in_bounds fpva e && Fpva.edge_state fpva e = Fpva.Valve
-        then add_valve e
-      in
-      consider (Coord.E (Coord.cell r c));
-      consider (Coord.S (Coord.cell r c))
+    for c = 0 to Fpva.cols fpva - 1 do
+      List.iter
+        (fun e ->
+          if Fpva.edge_in_bounds fpva e
+             && Fpva.edge_state fpva e = Fpva.Valve
+             && not (List.mem (Fpva.valve_id fpva e) forbidden_valves)
+          then begin
+            let a, b = Coord.edge_endpoints e in
+            if comp_of a = comp_of b then
+              bypassed := Fpva.valve_id fpva e :: !bypassed
+            else begin
+              Hashtbl.replace edge_ids e (Vec.length edges);
+              Vec.push edges (comp_of a, comp_of b);
+              Vec.push valve_edges e
+            end
+          end)
+        [ Coord.E (Coord.cell r c); Coord.S (Coord.cell r c) ]
     done
   done;
-  Array.iteri
-    (fun i p ->
-      let c = Fpva.port_cell fpva p in
-      Vec.push edges (node_of_port i, comp_of_cell.(cell_index nc c));
-      Vec.push kinds (Port_link i);
-      Vec.push required false)
-    ports;
-  let terminal = Array.make num_nodes false in
-  Array.iteri (fun i _ -> terminal.(node_of_port i) <- true) ports;
-  let starts = Vec.create () and ends = Vec.create () in
-  Array.iteri
-    (fun i p ->
-      match p.Fpva.kind with
-      | Fpva.Source -> Vec.push starts (node_of_port i)
-      | Fpva.Sink -> Vec.push ends (node_of_port i))
-    ports;
   let prob =
-    Problem.build ~num_nodes ~edges:(Vec.to_array edges)
-      ~required:(Vec.to_array required) ~terminal
-      ~starts:(Vec.to_array starts) ~ends:(Vec.to_array ends) ()
+    with_ports fpva ~num_inner:num_comps ~inner_of_cell:comp_of
+      ~edges:(Vec.to_array edges)
+      ~required:(Array.make (Vec.length edges) true)
   in
-  let mapping =
-    {
+  ( prob,
+    { compiled = comp;
       comp_of_cell;
-      comp_cells;
-      cols = nc;
       num_comps;
-      node_of_port;
-      port_of_node;
-      edge_kind = Vec.to_array kinds;
-      edge_id_of = (fun e -> Hashtbl.find_opt edge_ids e);
-      bypassed_valves = List.rev !bypassed;
-      forbidden;
-    }
-  in
-  (prob, mapping)
+      valve_edges = Vec.to_array valve_edges;
+      edge_id_of = Hashtbl.find_opt edge_ids;
+      bypassed_valves = List.rev !bypassed } )
 
 let edge_id_of_mapping mapping e = mapping.edge_id_of e
 
 let bypassed_valves mapping = mapping.bypassed_valves
 
-(* Route between two cells inside one component, through open channels
-   only. *)
-let component_route fpva mapping ~from_cell ~to_cell =
+(* The cell route between two cells of one component: a breadth-first
+   search over the channel arcs, in compiled arc order. *)
+let component_route mapping ~from_cell ~to_cell =
   if from_cell = to_cell then [ from_cell ]
   else begin
-    let nc = mapping.cols in
+    let comp = mapping.compiled in
+    let src = Compiled.cell_node comp from_cell
+    and dst = Compiled.cell_node comp to_cell in
+    let num_cells = Compiled.num_cells comp in
+    let off = Compiled.adj_off comp and node = Compiled.adj_node comp
+    and edge = Compiled.adj_edge comp in
     let prev = Hashtbl.create 16 in
-    let seen = Hashtbl.create 16 in
     let q = Queue.create () in
-    Hashtbl.replace seen from_cell ();
-    Queue.add from_cell q;
-    let found = ref false in
-    while (not !found) && not (Queue.is_empty q) do
-      let x = Queue.pop q in
-      if x = to_cell then found := true
-      else
-        List.iter
-          (fun d ->
-            let y = Coord.move x d in
-            let e = Coord.edge_towards x d in
-            if Fpva.in_bounds fpva y
-               && Fpva.cell_state fpva y = Fpva.Fluid
-               && Fpva.edge_in_bounds fpva e
-               && Fpva.edge_state fpva e = Fpva.Open_channel
-               && mapping.comp_of_cell.(cell_index nc y)
-                  = mapping.comp_of_cell.(cell_index nc x)
-               && not (Hashtbl.mem seen y)
-            then begin
-              Hashtbl.replace seen y ();
-              Hashtbl.replace prev y x;
-              Queue.add y q
-            end)
-          Coord.all_dirs
+    Hashtbl.replace prev src src;
+    Queue.add src q;
+    while (not (Hashtbl.mem prev dst)) && not (Queue.is_empty q) do
+      let u = Queue.pop q in
+      for k = off.(u) to off.(u + 1) - 1 do
+        let v = node.(k) in
+        if edge.(k) < 0 && v < num_cells && not (Hashtbl.mem prev v) then begin
+          Hashtbl.replace prev v u;
+          Queue.add v q
+        end
+      done
     done;
-    if not !found then
+    if not (Hashtbl.mem prev dst) then
       invalid_arg "Flow_path.component_route: cells not channel-connected";
-    let rec back acc c =
-      if c = from_cell then c :: acc else back (c :: acc) (Hashtbl.find prev c)
+    let rec back acc u =
+      let acc = Compiled.node_cell comp u :: acc in
+      if u = src then acc else back acc (Hashtbl.find prev u)
     in
-    back [] to_cell
+    back [] dst
   end
 
+(* Each valve on the path leaves the component that holds [entry]; the
+   channel route from [entry] to the valve's near cell precedes it. *)
 let of_problem_path fpva mapping (p : Problem.path) =
-  let fail msg = invalid_arg ("Flow_path.of_problem_path: " ^ msg) in
-  match (p.Problem.nodes, List.rev p.Problem.nodes) with
-  | first :: _, last :: _ ->
-    let source =
-      match mapping.port_of_node first with
-      | Some i -> i
-      | None -> fail "path does not start at a port"
+  let port n =
+    if n >= mapping.num_comps then n - mapping.num_comps
+    else invalid_arg "Flow_path.of_problem_path: path ends off a port"
+  in
+  match p.Problem.nodes with
+  | [] -> invalid_arg "Flow_path.of_problem_path: empty path"
+  | first :: rest ->
+    let source = port first
+    and sink = port (List.fold_left (fun _ n -> n) first rest) in
+    let cell_of i = Fpva.port_cell fpva (Fpva.ports fpva).(i) in
+    let comp_of c =
+      mapping.comp_of_cell.(Compiled.cell_node mapping.compiled c)
     in
-    let sink =
-      match mapping.port_of_node last with
-      | Some i -> i
-      | None -> fail "path does not end at a port"
+    let rec walk entry routes = function
+      | [] ->
+        List.concat
+          (List.rev
+             (component_route mapping ~from_cell:entry ~to_cell:(cell_of sink)
+             :: routes))
+      | e :: rest when e >= Array.length mapping.valve_edges ->
+        walk entry routes rest
+      | e :: rest ->
+        let a, b = Coord.edge_endpoints mapping.valve_edges.(e) in
+        let near, far = if comp_of a = comp_of entry then (a, b) else (b, a) in
+        walk far
+          (component_route mapping ~from_cell:entry ~to_cell:near :: routes)
+          rest
     in
-    (* Walk the component sequence, expanding each component into the cell
-       route between its entry and exit cells.  Entry/exit cells come from
-       the valve endpoints (or the port cell at the extremities). *)
-    let ports = Fpva.ports fpva in
-    let nc = mapping.cols in
-    let valve_edges =
-      List.filter_map
-        (fun e ->
-          match mapping.edge_kind.(e) with
-          | Internal ce -> Some ce
-          | Port_link _ -> None)
-        p.Problem.edges
-    in
-    let comp_seq =
-      List.filter_map
-        (fun n -> if n < mapping.num_comps then Some n else None)
-        p.Problem.nodes
-    in
-    let endpoint_in comp e =
-      let a, b = Coord.edge_endpoints e in
-      if mapping.comp_of_cell.(cell_index nc a) = comp then a
-      else begin
-        assert (mapping.comp_of_cell.(cell_index nc b) = comp);
-        b
-      end
-    in
-    let rec expand comps valves entry acc_cells acc_edges =
-      match (comps, valves) with
-      | [ comp ], [] ->
-        (* final component: walk from entry to the sink port cell *)
-        let exit_cell = Fpva.port_cell fpva ports.(sink) in
-        assert (mapping.comp_of_cell.(cell_index nc exit_cell) = comp);
-        let route = component_route fpva mapping ~from_cell:entry ~to_cell:exit_cell in
-        let cells = List.rev_append acc_cells route in
-        let edges =
-          let rec channel_edges = function
-            | a :: (b :: _ as rest) ->
-              Coord.edge_between a b :: channel_edges rest
-            | [] | [ _ ] -> []
-          in
-          List.rev_append acc_edges (channel_edges route)
-        in
-        (cells, edges)
-      | comp :: (_ :: _ as rest_comps), valve :: rest_valves ->
-        let exit_cell = endpoint_in comp valve in
-        let route = component_route fpva mapping ~from_cell:entry ~to_cell:exit_cell in
-        let rec channel_edges = function
-          | a :: (b :: _ as rest) -> Coord.edge_between a b :: channel_edges rest
-          | [] | [ _ ] -> []
-        in
-        let acc_cells = List.rev_append route acc_cells in
-        let acc_edges =
-          valve :: List.rev_append (channel_edges route) acc_edges
-        in
-        let next_comp = List.hd rest_comps in
-        let next_entry = endpoint_in next_comp valve in
-        expand rest_comps rest_valves next_entry acc_cells acc_edges
-      | _, _ -> fail "component/valve sequence mismatch"
-    in
-    let entry = Fpva.port_cell fpva ports.(source) in
-    let cells_raw, edges =
-      match comp_seq with
-      | [] -> fail "no components on path"
-      | first_comp :: _ ->
-        assert (mapping.comp_of_cell.(cell_index nc entry) = first_comp);
-        expand comp_seq valve_edges entry [] []
-    in
-    (* acc_cells accumulates component routes back-to-back; consecutive
-       routes share no cells except when a valve endpoint repeats — dedupe
-       consecutive duplicates defensively. *)
-    let rec dedupe = function
-      | a :: (b :: _ as rest) when a = b -> dedupe rest
-      | a :: rest -> a :: dedupe rest
-      | [] -> []
-    in
-    let cells = dedupe cells_raw in
-    let valve_ids = List.filter_map (Fpva.valve_id_opt fpva) edges in
-    { cells; edges; valve_ids; source; sink }
-  | _, _ -> fail "empty path"
+    of_cells fpva ~source ~sink (walk (cell_of source) [] p.Problem.edges)
 
 (* Serpentine construction over full rectangular arrays. *)
 let serpentine_cells ~rows ~cols ~row_major ~from_top ~from_left =
@@ -330,8 +235,7 @@ let serpentine_seeds fpva =
   else begin
     let _, mapping = problem fpva in
     let ports = Fpva.ports fpva in
-    let nc = mapping.cols in
-    let comp c = mapping.comp_of_cell.(cell_index nc c) in
+    let comp c = mapping.comp_of_cell.(Compiled.cell_node mapping.compiled c) in
     let port_at kind cell =
       let found = ref None in
       Array.iteri
@@ -398,12 +302,10 @@ let serpentine_seeds fpva =
                     in
                     go cell_seq
                   in
-                  let internal_count =
-                    Array.length mapping.edge_kind - Array.length ports
-                  in
+                  let internal_count = Array.length mapping.valve_edges in
                   let nodes =
-                    (mapping.node_of_port s :: comp_seq)
-                    @ [ mapping.node_of_port t ]
+                    ((mapping.num_comps + s) :: comp_seq)
+                    @ [ mapping.num_comps + t ]
                   in
                   let edges =
                     (internal_count + s) :: edge_seq
@@ -471,12 +373,14 @@ let cover ?(engine = Cover.default_engine) ?seeds ?budget ?stats fpva
     ~edge_of:(fun v -> mapping.edge_id_of (Fpva.edge_of_valve fpva v))
     ~decode:(of_problem_path fpva mapping) ~retires:(tested_valves fpva)
 
-let generate ?engine ?(use_seeds = true) ?budget ?stats fpva =
+let generate ?engine ?budget ?stats fpva =
   let ((_, mapping) as instance) = problem fpva in
   let pending = Array.make (Fpva.num_valves fpva) true in
   List.iter (fun v -> pending.(v) <- false) mapping.bypassed_valves;
-  let seeds = if use_seeds then serpentine_seeds fpva else [] in
-  let outcome = cover ?engine ~seeds ?budget ?stats fpva instance ~pending in
+  let outcome =
+    cover ?engine ~seeds:(serpentine_seeds fpva) ?budget ?stats fpva instance
+      ~pending
+  in
   (outcome.Cover.paths, outcome.Cover.uncovered @ mapping.bypassed_valves)
 
 let minimum ?bb_options ~max_paths fpva =

@@ -5,7 +5,13 @@
     stuck-at-0 valve on the path.  Every valve must lie on at least one
     generated path.  {!cover} is the one flow-path cover, the {!Cover}
     driver over the channel-contracted instance; both the direct model
-    ({!generate}) and the hierarchy's fallback ({!Hierarchy}) run it. *)
+    ({!generate}) and the hierarchy's fallback ({!Hierarchy}) run it.
+
+    The instance reads cell adjacency from {!Fpva_grid.Compiled}'s arcs.
+    Two helpers are shared with the other generators: {!with_ports}
+    attaches the ports to an instance (here and in the hierarchy's block
+    graph), and {!of_cells} turns a cell route into a path (here, in the
+    hierarchy's stitching and in {!Suite_io}). *)
 
 open Fpva_grid
 
@@ -16,6 +22,24 @@ type t = {
   source : int;  (** port index (into [Fpva.ports]) the path starts at *)
   sink : int;  (** port index the path ends at *)
 }
+
+val of_cells : Fpva.t -> source:int -> sink:int -> Coord.cell list -> t
+(** The path along a cell route: its edges in step order and the valves
+    among them.
+    @raise Invalid_argument if two consecutive cells are not adjacent. *)
+
+val with_ports :
+  Fpva.t ->
+  num_inner:int ->
+  inner_of_cell:(Coord.cell -> int) ->
+  edges:(int * int) array ->
+  required:bool array ->
+  Problem.t
+(** An instance on the caller's nodes [0 .. num_inner - 1] and [edges],
+    plus one node per port: port [i] is node [num_inner + i], linked by the
+    unrequired edge [Array.length edges + i] to [inner_of_cell] of its
+    cell.  The ports are the terminals, the sources the starts and the
+    sinks the ends, in port order. *)
 
 type mapping
 (** Decoder between the abstract {!Problem} instance and grid entities. *)
@@ -83,16 +107,15 @@ val cover :
 
 val generate :
   ?engine:Cover.engine ->
-  ?use_seeds:bool ->
   ?budget:Budget.t ->
   ?stats:Cover.stats ->
   Fpva.t ->
   t list * int list
-(** [generate t] covers all valves with flow paths ({!cover}).  Returns the
-    paths and the ids of valves that could not be covered, the
-    {!bypassed_valves} last (empty for any layout whose valves are all
-    reachable — guaranteed after [Fpva.validate]).  [use_seeds] (default
-    true) tries {!serpentine_seeds} first.  Engine calls respect [budget]
+(** [generate t] covers all valves with flow paths ({!cover}), trying the
+    {!serpentine_seeds} first.  Returns the paths and the ids of valves
+    that could not be covered, the {!bypassed_valves} last (empty for any
+    layout whose valves are all reachable — guaranteed after
+    [Fpva.validate]).  Engine calls respect [budget]
     (loops stop early, leaving the rest uncovered), fall back to randomized
     search on solver failure, and record telemetry in [stats]. *)
 

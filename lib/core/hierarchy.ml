@@ -6,7 +6,6 @@ type options = {
   block_cols : int;
   engine : Cover.engine;
   segment_budget : int;
-  max_instances : int;
 }
 
 let default_options =
@@ -15,8 +14,11 @@ let default_options =
     block_cols = 5;
     engine = Cover.default_engine;
     segment_budget = 30_000;
-    max_instances = 64;
   }
+
+(* Bound on the stitched paths of one run, and on its rounds over the
+   top-level routes. *)
+let max_instances = 64
 
 type result = {
   paths : Flow_path.t list;
@@ -70,37 +72,17 @@ let top_problem options fpva =
   let blocks_c = (Fpva.cols fpva + options.block_cols - 1) / options.block_cols in
   let num_blocks = blocks_r * blocks_c in
   let block_node (bi, bj) = (bi * blocks_c) + bj in
-  let ports = Fpva.ports fpva in
-  let num_nodes = num_blocks + Array.length ports in
-  let borders = border_edges options fpva in
   let edges = Vec.create () and required = Vec.create () in
   Hashtbl.iter
     (fun (ba, bb) crossing ->
       Vec.push edges (block_node ba, block_node bb);
-      let has_valve =
-        List.exists (fun e -> Fpva.edge_state fpva e = Fpva.Valve) crossing
-      in
-      Vec.push required has_valve)
-    borders;
-  Array.iteri
-    (fun i p ->
-      let b = block_of_cell options (Fpva.port_cell fpva p) in
-      Vec.push edges (num_blocks + i, block_node b);
-      Vec.push required false)
-    ports;
-  let terminal = Array.make num_nodes false in
-  Array.iteri (fun i _ -> terminal.(num_blocks + i) <- true) ports;
-  let starts = Vec.create () and ends = Vec.create () in
-  Array.iteri
-    (fun i p ->
-      match p.Fpva.kind with
-      | Fpva.Source -> Vec.push starts (num_blocks + i)
-      | Fpva.Sink -> Vec.push ends (num_blocks + i))
-    ports;
+      Vec.push required
+        (List.exists (fun e -> Fpva.edge_state fpva e = Fpva.Valve) crossing))
+    (border_edges options fpva);
   let prob =
-    Problem.build ~num_nodes ~edges:(Vec.to_array edges)
-      ~required:(Vec.to_array required) ~terminal
-      ~starts:(Vec.to_array starts) ~ends:(Vec.to_array ends) ()
+    Flow_path.with_ports fpva ~num_inner:num_blocks
+      ~inner_of_cell:(fun c -> block_node (block_of_cell options c))
+      ~edges:(Vec.to_array edges) ~required:(Vec.to_array required)
   in
   (prob, { blocks_c; num_blocks })
 
@@ -181,203 +163,144 @@ let bfs_routes options fpva =
 
 (* ---------- In-block segment search ---------- *)
 
-type endpoint = Port_end of int | Cell_end of Coord.cell
+(* The arcs from a block's cells to other cells, in compiled order (cells
+   row-major): [f a b vid] for cell nodes [a] in the block and [b], with
+   [vid] the valve between them or -1 for an open channel. *)
+let iter_block_arcs options comp (bi, bj) f =
+  let fpva = Compiled.fpva comp in
+  let num_cells = Compiled.num_cells comp in
+  let off = Compiled.adj_off comp and node = Compiled.adj_node comp
+  and edge = Compiled.adj_edge comp in
+  for r = bi * options.block_rows
+      to min (Fpva.rows fpva) ((bi + 1) * options.block_rows) - 1 do
+    for c = bj * options.block_cols
+        to min (Fpva.cols fpva) ((bj + 1) * options.block_cols) - 1 do
+      let a = Compiled.cell_node comp (Coord.cell r c) in
+      for k = off.(a) to off.(a + 1) - 1 do
+        if node.(k) < num_cells then f a node.(k) edge.(k)
+      done
+    done
+  done
 
-(* Build a local problem: nodes are the member cells of the current block,
-   plus terminal extras (the entry port, exit ports, or the across-border
-   cells of the next block). *)
-let segment ?budget ?stats options fpva ~need ~block ~entry ~exits =
-  let member c = block_of_cell options c = block in
+(* A local instance on compiled node ids: the block's cells, the entry
+   (a port, or the across cell of the previous border) and the exits (the
+   sink port, or the across cells of the next border).  Returns the nodes
+   of the path found, entry first. *)
+let segment ?budget ?stats options comp ~need ~block ~entry ~exits =
+  let num_cells = Compiled.num_cells comp in
   let ids = Hashtbl.create 64 in
   let rev = Vec.create () in
-  let node_of key =
-    match Hashtbl.find_opt ids key with
+  let node_of n =
+    match Hashtbl.find_opt ids n with
     | Some i -> i
     | None ->
       let i = Vec.length rev in
-      Hashtbl.add ids key i;
-      Vec.push rev key;
+      Hashtbl.add ids n i;
+      Vec.push rev n;
       i
   in
-  (* keys: `Cell c | `Port i *)
   let edges = Vec.create () in
   let edge_valve = Vec.create () in
-  (* valve id per local edge, if any *)
-  let edge_chan = Vec.create () in
   (* open-channel edges are uncontrollable: pair-constrain them so a
      segment never visits both sides of a channel without crossing it
      (which would bypass its own valves) *)
-  let add_edge ?(chan = false) ka kb vid =
-    Vec.push edges (node_of ka, node_of kb);
+  let edge_chan = Vec.create () in
+  let add_edge ~chan a b vid =
+    Vec.push edges (node_of a, node_of b);
     Vec.push edge_valve vid;
     Vec.push edge_chan chan
   in
-  let nr = Fpva.rows fpva and nc = Fpva.cols fpva in
-  let across = Hashtbl.create 16 in
+  let member n = block_of_cell options (Compiled.node_cell comp n) = block in
+  iter_block_arcs options comp block (fun a b vid ->
+      (* in-block edges once, from their lower cell *)
+      if (member b && a < b) || ((not (member b)) && List.mem b exits) then
+        add_edge ~chan:(vid < 0) a b vid);
+  (* A port node's one arc leads to its cell. *)
   List.iter
-    (fun e -> match e with Cell_end c -> Hashtbl.replace across c () | Port_end _ -> ())
-    exits;
-  for r = 0 to nr - 1 do
-    for c = 0 to nc - 1 do
-      let a = Coord.cell r c in
-      if Fpva.cell_state fpva a = Fpva.Fluid && member a then begin
-        let consider d =
-          let b = Coord.move a d in
-          let e = Coord.edge_towards a d in
-          if Fpva.edge_in_bounds fpva e && traversable fpva e
-             && Fpva.in_bounds fpva b
-             && Fpva.cell_state fpva b = Fpva.Fluid
-          then begin
-            let vid = Fpva.valve_id_opt fpva e in
-            let chan = Fpva.edge_state fpva e = Fpva.Open_channel in
-            if member b then begin
-              (* one direction only, to avoid duplicates *)
-              if Coord.compare_cell a b < 0 then
-                add_edge ~chan (`Cell a) (`Cell b) vid
-            end
-            else if Hashtbl.mem across b then
-              add_edge ~chan (`Cell a) (`Cell b) vid
-          end
-        in
-        List.iter consider Coord.all_dirs
-      end
-    done
-  done;
-  (* Port links for the entry/exit ports. *)
-  let ports = Fpva.ports fpva in
-  let link_port i =
-    let cell = Fpva.port_cell fpva ports.(i) in
-    if member cell then add_edge (`Port i) (`Cell cell) None
-  in
-  (match entry with Port_end i -> link_port i | Cell_end _ -> ());
-  List.iter (function Port_end i -> link_port i | Cell_end _ -> ()) exits;
-  let key_of_endpoint = function
-    | Port_end i -> `Port i
-    | Cell_end c -> `Cell c
-  in
-  (* Entry cell might sit outside the block (it never does: the across cell
-     of the previous border belongs to this block) — guard anyway. *)
-  let entry_key = key_of_endpoint entry in
-  if not (Hashtbl.mem ids entry_key) then None
-  else begin
-    let exit_keys =
-      List.filter (fun k -> Hashtbl.mem ids k) (List.map key_of_endpoint exits)
+    (fun p ->
+      if p >= num_cells then begin
+        let cell = (Compiled.adj_node comp).((Compiled.adj_off comp).(p)) in
+        if member cell then add_edge ~chan:false p cell (-1)
+      end)
+    (entry :: exits);
+  match
+    (Hashtbl.find_opt ids entry, List.filter_map (Hashtbl.find_opt ids) exits)
+  with
+  | None, _ | _, [] -> None
+  | Some start, ends ->
+    let num_nodes = Vec.length rev in
+    let terminal = Array.make num_nodes false in
+    List.iter (fun i -> terminal.(i) <- true) ends;
+    if entry >= num_cells then terminal.(start) <- true;
+    let prob =
+      Problem.build ~num_nodes ~edges:(Vec.to_array edges)
+        ~required:(Array.make (Vec.length edges) false)
+        ~pair_constrained:(Vec.to_array edge_chan) ~terminal
+        ~starts:[| start |] ~ends:(Array.of_list ends) ()
     in
-    if exit_keys = [] then None
-    else begin
-      let num_nodes = Vec.length rev in
-      let terminal = Array.make num_nodes false in
-      List.iter (fun k -> terminal.(Hashtbl.find ids k) <- true) exit_keys;
-      (match entry with
-      | Port_end i -> terminal.(Hashtbl.find ids (`Port i)) <- true
-      | Cell_end _ -> ());
-      let starts = [| Hashtbl.find ids entry_key |] in
-      let ends = Array.of_list (List.map (Hashtbl.find ids) exit_keys) in
-      let num_edges = Vec.length edges in
-      let required = Array.make num_edges false in
-      let prob =
-        Problem.build ~num_nodes
-          ~edges:(Vec.to_array edges) ~required
-          ~pair_constrained:(Vec.to_array edge_chan) ~terminal ~starts ~ends
-          ()
-      in
-      let weight =
-        Array.init num_edges (fun e ->
-            match Vec.get edge_valve e with
-            | Some vid -> if need.(vid) then 1.0 else 0.0
-            | None -> 0.0)
-      in
-      let params =
-        { Path_search.default_params with
-          Path_search.step_budget = options.segment_budget }
-      in
-      let seg_engine =
-        match options.engine with
-        | Cover.Search base ->
-          Cover.Search { params with Path_search.seed = base.Path_search.seed }
-        | (Cover.Ilp _ | Cover.Custom _) as e -> e
-      in
-      let found = Cover.find_robust ?budget ?stats seg_engine prob ~weight in
-      match found with
-      | None -> None
-      | Some path ->
-        (* Decode to global cells / edges. *)
-        let keys = List.map (Vec.get rev) path.Problem.nodes in
-        Some keys
-    end
-  end
+    let weight =
+      Array.map
+        (fun vid -> if vid >= 0 && need.(vid) then 1.0 else 0.0)
+        (Vec.to_array edge_valve)
+    in
+    let params =
+      { Path_search.default_params with
+        Path_search.step_budget = options.segment_budget }
+    in
+    let seg_engine =
+      match options.engine with
+      | Cover.Search base ->
+        Cover.Search { params with Path_search.seed = base.Path_search.seed }
+      | (Cover.Ilp _ | Cover.Custom _) as e -> e
+    in
+    Option.map
+      (fun path -> List.map (Vec.get rev) path.Problem.nodes)
+      (Cover.find_robust ?budget ?stats seg_engine prob ~weight)
 
 (* ---------- Stitching ---------- *)
 
 let stitch_instance ?budget ?stats options fpva ~need (src, route, snk) =
-  (* Returns the full cell sequence (ports excluded) or None. *)
+  let comp = Compiled.get fpva in
+  let num_cells = Compiled.num_cells comp in
+  (* The cell nodes of the route, entry side first, ports excluded. *)
   let rec walk entry route acc =
     match route with
-    | [] -> Some (List.rev acc)
+    | [] -> None
     | block :: rest ->
       let exits =
         match rest with
         | next :: _ ->
-          (* across cells: cells of [next] adjacent to [block] *)
-          let nr = Fpva.rows fpva and nc = Fpva.cols fpva in
           let out = ref [] in
-          for r = 0 to nr - 1 do
-            for c = 0 to nc - 1 do
-              let a = Coord.cell r c in
-              if Fpva.cell_state fpva a = Fpva.Fluid
-                 && block_of_cell options a = block
-              then
-                List.iter
-                  (fun d ->
-                    let b = Coord.move a d in
-                    let e = Coord.edge_towards a d in
-                    if Fpva.in_bounds fpva b && Fpva.edge_in_bounds fpva e
-                       && traversable fpva e
-                       && Fpva.cell_state fpva b = Fpva.Fluid
-                       && block_of_cell options b = next
-                    then out := Cell_end b :: !out)
-                  Coord.all_dirs
-            done
-          done;
+          iter_block_arcs options comp block (fun _ b _ ->
+              if block_of_cell options (Compiled.node_cell comp b) = next then
+                out := b :: !out);
           !out
-        | [] -> [ Port_end snk ]
+        | [] -> [ Compiled.port_node comp snk ]
       in
-      (match segment ?budget ?stats options fpva ~need ~block ~entry ~exits with
+      (match segment ?budget ?stats options comp ~need ~block ~entry ~exits with
       | None -> None
-      | Some keys ->
-        let cells =
-          List.filter_map
-            (function `Cell c -> Some c | `Port _ -> None)
-            keys
-        in
-        (match rest with
-        | [] -> Some (List.rev acc @ cells)
-        | next :: _ -> (
-          ignore next;
-          match List.rev cells with
-          | last :: _ ->
-            (* [last] is the across cell: it starts the next segment. *)
-            let body = List.filteri (fun i _ -> i < List.length cells - 1) cells in
-            walk (Cell_end last) rest (List.rev_append body acc)
-          | [] -> None)))
+      | Some nodes -> (
+        let cells = List.filter (fun n -> n < num_cells) nodes in
+        match (rest, List.rev cells) with
+        | [], _ -> Some (List.rev_append acc cells)
+        (* [last] is the across cell: it starts the next segment. *)
+        | _ :: _, last :: body -> walk last rest (body @ acc)
+        | _ :: _, [] -> None))
   in
-  match walk (Port_end src) route [] with
+  match walk (Compiled.port_node comp src) route [] with
   | None -> None
-  | Some cells ->
-    (* Convert the cell sequence into a Flow_path.t. *)
-    let rec edges_of = function
-      | a :: (b :: _ as rest) -> Coord.edge_between a b :: edges_of rest
-      | [] | [ _ ] -> []
-    in
+  | Some nodes ->
     (* Reject non-simple sequences defensively. *)
     let seen = Hashtbl.create 64 in
-    if List.exists (fun c -> Hashtbl.mem seen c || (Hashtbl.add seen c (); false)) cells
+    if
+      List.exists
+        (fun n -> Hashtbl.mem seen n || (Hashtbl.add seen n (); false))
+        nodes
     then None
     else begin
-      let edges = edges_of cells in
-      let valve_ids = List.filter_map (Fpva.valve_id_opt fpva) edges in
       let path =
-        { Flow_path.cells; edges; valve_ids; source = src; sink = snk }
+        Flow_path.of_cells fpva ~source:src ~sink:snk
+          (List.map (Compiled.node_cell comp) nodes)
       in
       (* Cross-block channel chords can still slip through the per-block
          pair constraints; the soundness audit catches them. *)
@@ -419,7 +342,7 @@ let generate ?(options = default_options) ?(budget = Budget.unlimited) ?stats
         (fun route ->
           if
             Array.exists (fun b -> b) need
-            && !instances < options.max_instances
+            && !instances < max_instances
             && not (Budget.exhausted budget)
           then
             match stitch_instance ~budget ?stats options fpva ~need route with
@@ -439,7 +362,7 @@ let generate ?(options = default_options) ?(budget = Budget.unlimited) ?stats
       if !progressed then rounds (budget_left - 1)
     end
   in
-  rounds options.max_instances;
+  rounds max_instances;
   let stitched = List.rev !paths in
   (* Direct fallback for anything the stitched routes could not reach. *)
   let fallback =

@@ -16,7 +16,12 @@
     mopped up by the direct model's own cover ({!Flow_path.cover}), so the
     generator never sacrifices coverage for hierarchy.  Bypassed valves
     ({!Flow_path.bypassed_valves}) are retired before any search and
-    reported uncovered, as the direct model does. *)
+    reported uncovered, as the direct model does.
+
+    The block graph gets its ports from {!Flow_path.with_ports}; each
+    in-block instance reads the block's own cells and their arcs from
+    {!Fpva_grid.Compiled}, and a stitched route becomes a path through
+    {!Flow_path.of_cells}.  At most 64 paths are stitched per run. *)
 
 open Fpva_grid
 
@@ -25,11 +30,10 @@ type options = {
   block_cols : int;  (** subblock width (paper: 5) *)
   engine : Cover.engine;  (** engine for top-level and in-block searches *)
   segment_budget : int;  (** DFS budget per in-block segment search *)
-  max_instances : int;  (** stitched paths per top-level route bound *)
 }
 
 val default_options : options
-(** 5x5 blocks, search engine, 30 000 steps per segment, 64 instances. *)
+(** 5x5 blocks, search engine, 30 000 steps per segment. *)
 
 type result = {
   paths : Flow_path.t list;  (** all final paths (stitched + fallback) *)

@@ -13,7 +13,6 @@ type config = {
   anti_masking : bool;
   include_leakage : bool;
   leak_routing : Control.routing;
-  use_seeds : bool;
 }
 
 let default_config =
@@ -25,7 +24,6 @@ let default_config =
     anti_masking = true;
     include_leakage = true;
     leak_routing = Control.Fluid_adjacency;
-    use_seeds = true;
   }
 
 let direct_config = { default_config with hierarchical = false }
@@ -142,8 +140,8 @@ and run_validated config budget fpva =
           (r.Hierarchy.paths, r.Hierarchy.uncovered)
         end
         else
-          Flow_path.generate ~engine:config.engine ~use_seeds:config.use_seeds
-            ~budget:flow_budget ~stats:flow_stats fpva)
+          Flow_path.generate ~engine:config.engine ~budget:flow_budget
+            ~stats:flow_stats fpva)
   in
   let flow_report =
     stage_report ~trusted_engine "flow" flow_budget flow_stats tp

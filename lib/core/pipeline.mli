@@ -22,12 +22,12 @@ type config = {
   leak_routing : Control.routing;
       (** control-layer pair model for leakage vectors (default
           [Fluid_adjacency]) *)
-  use_seeds : bool;  (** try serpentine constructions in direct mode *)
 }
 
 val default_config : config
 (** Search engine, hierarchical with 5x5 blocks, anti-masking and leakage
-    on, seeds on. *)
+    on.  The direct model always tries the serpentine constructions
+    ({!Flow_path.serpentine_seeds}) first. *)
 
 val direct_config : config
 (** Like {!default_config} but non-hierarchical (the paper's "direct

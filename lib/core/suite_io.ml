@@ -117,20 +117,10 @@ let bools_of_bits num s =
   if not !ok then fail num "bad bitstring"
   else Ok (Array.init (String.length s) (fun i -> s.[i] = '1'))
 
-(* Reconstruct a Flow_path.t from its cell route. *)
 let path_of_cells fpva num ~source ~sink cells =
-  let rec edges = function
-    | a :: (b :: _ as rest) -> (
-      match Coord.edge_between a b with
-      | e -> e :: edges rest
-      | exception Invalid_argument _ -> raise Exit)
-    | [] | [ _ ] -> []
-  in
-  match edges cells with
-  | exception Exit -> fail num "cells are not a contiguous route"
-  | es ->
-    let valve_ids = List.filter_map (Fpva.valve_id_opt fpva) es in
-    Ok { Flow_path.cells; edges = es; valve_ids; source; sink }
+  match Flow_path.of_cells fpva ~source ~sink cells with
+  | path -> Ok path
+  | exception Invalid_argument _ -> fail num "cells are not a contiguous route"
 
 let of_string fpva text =
   let ( let* ) = Result.bind in

@@ -124,6 +124,8 @@ let num_valves t = t.num_valves
 
 let cell_node t (c : Coord.cell) = (c.Coord.row * Fpva.cols t.fpva) + c.Coord.col
 
+let node_cell t n = Coord.cell (n / Fpva.cols t.fpva) (n mod Fpva.cols t.fpva)
+
 let port_node t i = t.num_cells + i
 
 let adj_off t = t.adj_off

@@ -53,6 +53,9 @@ val num_valves : t -> int
 val cell_node : t -> Coord.cell -> int
 (** Row-major cell id: [row * cols + col]. *)
 
+val node_cell : t -> int -> Coord.cell
+(** Inverse of {!cell_node} on cell ids ([0 .. num_cells - 1]). *)
+
 val port_node : t -> int -> int
 (** Node id of port [i] (as indexed by [Fpva.ports]): [num_cells + i]. *)
 

@@ -12,7 +12,10 @@
 
     Crossing rules: a [Valve] edge may be crossed (it joins the cut-set);
     a [Wall] is crossed for free (already sealed); an [Open_channel] can
-    never be crossed — no valve exists there to stop the fluid. *)
+    never be crossed — no valve exists there to stop the fluid.
+
+    The outline's port openings ({!outline_ports}) are worked out here
+    only; cut generation reads its end arcs from them. *)
 
 type corner = { ci : int; cj : int }
 
@@ -34,6 +37,13 @@ val steps :
 
 val boundary_corners : Fpva.t -> corner list
 (** Outline corners in clockwise order starting at [(0, 0)]. *)
+
+val outline_ports : Fpva.t -> corner array * Fpva.port_kind option array
+(** The outline as a ring, and what pierces it: [(ring, seg)] with [ring]
+    the {!boundary_corners} and [seg.(k)] the kind of the port whose
+    opening is the segment from [ring.(k)] to [ring.(k + 1)] (wrapping),
+    [None] for a sealed segment.  The one owner of which segment a port
+    pierces: {!valid_endpoints} and [Cut_set]'s outline arcs read it. *)
 
 val valid_endpoints : Fpva.t -> corner -> corner -> bool
 (** [valid_endpoints t a b] — do boundary corners [a] and [b] split the

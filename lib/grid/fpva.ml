@@ -211,21 +211,33 @@ let reachable_with_all_open t =
   seen
 
 let validate t =
+  (* [add_port] refuses an obstacle cell, but [set_obstacle] may come
+     later. *)
+  let blocked =
+    List.find_opt
+      (fun p -> cell_state t (port_cell t p) = Obstacle)
+      (Vec.to_list t.ports)
+  in
   if Array.length (sources t) = 0 then Error "no source port"
   else if Array.length (sinks t) = 0 then Error "no sink port"
-  else begin
-    let seen = reachable_with_all_open t in
-    let orphan = ref None in
-    List.iter
-      (fun c -> if not seen.(cell_index t c) then orphan := Some c)
-      (fluid_cells t);
-    match !orphan with
-    | Some c ->
+  else
+    match blocked with
+    | Some p ->
       Error
-        (Printf.sprintf "fluid cell %s unreachable from any port"
-           (Coord.cell_to_string c))
-    | None -> Ok ()
-  end
+        (Printf.sprintf "port cell %s is an obstacle"
+           (Coord.cell_to_string (port_cell t p)))
+    | None -> (
+      let seen = reachable_with_all_open t in
+      let orphan = ref None in
+      List.iter
+        (fun c -> if not seen.(cell_index t c) then orphan := Some c)
+        (fluid_cells t);
+      match !orphan with
+      | Some c ->
+        Error
+          (Printf.sprintf "fluid cell %s unreachable from any port"
+             (Coord.cell_to_string c))
+      | None -> Ok ())
 
 let copy t =
   {

@@ -76,12 +76,17 @@ let parse text =
           done
         done;
         (* outline + ports *)
-        let port side offset kind = Fpva.add_port t { Fpva.side; offset; kind } in
+        let port y x side offset kind =
+          let p = { Fpva.side; offset; kind } in
+          if Fpva.cell_state t (Fpva.port_cell t p) = Fpva.Obstacle then
+            err y x "port %C against an obstacle cell" (at y x)
+          else Fpva.add_port t p
+        in
         let outline y x side offset =
           match at y x with
           | '#' -> ()
-          | 'S' -> port side offset Fpva.Source
-          | 'M' -> port side offset Fpva.Sink
+          | 'S' -> port y x side offset Fpva.Source
+          | 'M' -> port y x side offset Fpva.Sink
           | ch -> err y x "bad outline char %C" ch
         in
         for c = 0 to cols - 1 do

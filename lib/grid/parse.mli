@@ -19,7 +19,8 @@
     - horizontal separators (even row, odd column): ['-'] valve, [' ']
       open channel, ['X'] wall;
     - outline characters: ['#'] sealed, ['S'] pressure source, ['M']
-      pressure meter, placed against the boundary cell they serve;
+      pressure meter, placed against the boundary cell they serve, which
+      must be fluid;
     - interior corners (even/even) are ignored (conventionally ['+']).
 
     Round-trip guarantee: [parse (Render.plain t)] reconstructs [t] up to

@@ -282,7 +282,9 @@ let rec probes_for fpva fault =
   let module Fp = Fpva_testgen.Flow_path in
   let module Cs = Fpva_testgen.Cut_set in
   let module Ps = Fpva_testgen.Path_search in
-  let flow_probe ?(forbidden = []) target =
+  (* The flow path through [target] (weight 1000 on its edge), which the
+     flow and the pierced probes wrap. *)
+  let path_through ?(forbidden = []) target =
     let prob, mapping = Fp.problem ~forbidden_valves:forbidden fpva in
     let weight = Array.make prob.Fpva_testgen.Problem.num_edges 0.0 in
     (match Fp.edge_id_of_mapping mapping (Fpva.edge_of_valve fpva target) with
@@ -292,9 +294,11 @@ let rec probes_for fpva fault =
     | None -> []
     | Some p ->
       let path = Fp.of_problem_path fpva mapping p in
-      if List.mem target path.Fp.valve_ids then
-        [ Tv.of_flow_path ~label:"probe-flow" fpva path ]
-      else []
+      if List.mem target path.Fp.valve_ids then [ path ] else []
+  in
+  let flow_probe ?forbidden target =
+    List.map (Tv.of_flow_path ~label:"probe-flow" fpva)
+      (path_through ?forbidden target)
   in
   let cut_probes target =
     let specs = Cs.problems fpva in
@@ -317,23 +321,13 @@ let rec probes_for fpva fault =
           else [])
       specs
   in
-  let pierced_probe target =
-    let prob, mapping = Fp.problem fpva in
-    let weight = Array.make prob.Fpva_testgen.Problem.num_edges 0.0 in
-    (match Fp.edge_id_of_mapping mapping (Fpva.edge_of_valve fpva target) with
-    | Some e -> weight.(e) <- 1000.0
-    | None -> ());
-    match Ps.find prob ~weight with
-    | None -> []
-    | Some p ->
-      let path = Fp.of_problem_path fpva mapping p in
-      if List.mem target path.Fp.valve_ids then
-        [ Tv.of_pierced_path ~label:"probe-pierced" fpva path target ]
-      else []
-  in
   match fault with
   | Fault.Stuck_at_0 v -> flow_probe v
-  | Fault.Stuck_at_1 v -> cut_probes v @ pierced_probe v
+  | Fault.Stuck_at_1 v ->
+    cut_probes v
+    @ List.map
+        (fun p -> Tv.of_pierced_path ~label:"probe-pierced" fpva p v)
+        (path_through v)
   | Fault.Control_leak (a, b) -> flow_probe ~forbidden:[ a ] b
   | Fault.Intermittent (f, _) -> probes_for fpva f
 

@@ -52,6 +52,13 @@ let random_layout rng =
   done;
   !current
 
+(* A 3x3 layout whose west source sits against an obstacle cell (1,0): the
+   'S' at line 4, column 1.  Invalid input, never a crash. *)
+let port_on_obstacle_text =
+  String.concat "\n"
+    [ "#######"; "# | | #"; "#-+-+-#"; "S#| | M"; "#-+-+-#"; "# | | #";
+      "#######" ]
+
 let layout_gen =
   QCheck2.Gen.map
     (fun seed -> random_layout (Fpva_util.Rng.create seed))

@@ -121,6 +121,11 @@ let fpva_tests =
         Fpva.add_port t
           { Fpva.side = Coord.East; offset = 1; kind = Fpva.Sink };
         checkb "ok" true (Fpva.validate t = Ok ()));
+    case "validate rejects a port cell made an obstacle" (fun () ->
+        let t = Layouts.full ~rows:4 ~cols:4 in
+        Fpva.set_obstacle t (Fpva.port_cell t (Fpva.ports t).(0));
+        checkb "error" true
+          (Fpva.validate t = Error "port cell (2,0) is an obstacle"));
     case "validate flags unreachable fluid" (fun () ->
         let t = small_full_layout 3 3 in
         (* wall off the north-east corner cell *)

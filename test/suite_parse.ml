@@ -68,6 +68,13 @@ let tests =
           checkb "mentions location" true
             (String.length msg > 0)
         | Ok _ -> Alcotest.fail "accepted bad char");
+    case "rejects a port against an obstacle at its line and column"
+      (fun () ->
+        match Parse.parse port_on_obstacle_text with
+        | Error msg ->
+          check Alcotest.string "message"
+            "line 4, col 1: port 'S' against an obstacle cell" msg
+        | Ok _ -> Alcotest.fail "accepted a port against an obstacle");
     case "parse_exn raises on bad input" (fun () ->
         checkb "raises" true
           (try

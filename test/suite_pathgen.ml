@@ -505,7 +505,27 @@ let cover_tests =
    configuration, the rows pin figure8 (the only one whose cut stage stalls
    three times and runs its targeted pass and pierced probes), figure9
    (whose hierarchy falls back to the direct cover for 18 of its 19 flow
-   paths), the direct model, and the exact ILP engine. *)
+   paths), the direct model, the exact ILP engine, and an irregular
+   two-source layout whose routes cross block borders through channels and
+   whose second source re-feeds five paths. *)
+
+(* 10x12 with six open channels and three obstacles; ports in index order:
+   South sink at column 1, North source at column 8, then the default west
+   source and east sink. *)
+let irregular_two_source () =
+  let open Fpva_grid in
+  let t = Fpva.create ~rows:10 ~cols:12 in
+  List.iter
+    (fun e -> Fpva.set_edge t e Fpva.Open_channel)
+    Coord.
+      [ E (cell 2 4); E (cell 2 5); S (cell 3 7); S (cell 4 7); E (cell 6 9);
+        E (cell 8 0) ];
+  List.iter
+    (fun (r, c) -> Fpva.set_obstacle t (Coord.cell r c))
+    [ (7, 2); (7, 3); (3, 10) ];
+  Fpva.add_port t { Fpva.side = Coord.South; offset = 1; kind = Fpva.Sink };
+  Fpva.add_port t { Fpva.side = Coord.North; offset = 8; kind = Fpva.Source };
+  Layouts.with_default_ports t
 
 let ilp_config =
   { Pipeline.direct_config with
@@ -541,7 +561,12 @@ let pinned_tests =
          Pipeline.direct_config, 34, "b16ca49944ef4466947e90c6a3fefa1c",
          6_400_357);
         ("ILP full 4x4", (fun () -> full ~rows:4 ~cols:4), ilp_config, 15,
-         "e48f0708a10974e8b4dad5729d183cd5", 0) ]
+         "e48f0708a10974e8b4dad5729d183cd5", 0);
+        ("irregular 10x12", irregular_two_source, Pipeline.default_config, 66,
+         "e7967698d8e299ce37764a4eebe1b14e", 13_730_000);
+        ("direct irregular 10x12", irregular_two_source,
+         Pipeline.direct_config, 66, "e7967698d8e299ce37764a4eebe1b14e",
+         13_000_000) ]
 
 let tests =
   problem_tests @ search_tests @ oracle_tests @ ilp_tests @ cover_tests

@@ -203,14 +203,19 @@ let chaos_tests =
             (List.length r.Pipeline.uncovered_cut));
     case "invalid layout: Error from run, Invalid_argument from run_exn"
       (fun () ->
-        let t = Fpva.create ~rows:3 ~cols:3 in
-        (* no ports *)
-        (match Pipeline.run t with
-        | Error _ -> ()
-        | Ok _ -> Alcotest.fail "expected Error on a port-less layout");
-        match Pipeline.run_exn t with
-        | exception Invalid_argument _ -> ()
-        | _ -> Alcotest.fail "run_exn must raise Invalid_argument");
+        let port_on_obstacle = Layouts.full ~rows:4 ~cols:4 in
+        Fpva.set_obstacle port_on_obstacle
+          (Fpva.port_cell port_on_obstacle (Fpva.ports port_on_obstacle).(0));
+        List.iter
+          (fun (name, t) ->
+            (match Pipeline.run t with
+            | Error _ -> ()
+            | Ok _ -> Alcotest.failf "expected Error on %s" name);
+            match Pipeline.run_exn t with
+            | exception Invalid_argument _ -> ()
+            | _ -> Alcotest.failf "run_exn must raise Invalid_argument on %s" name)
+          [ ("a port-less layout", Fpva.create ~rows:3 ~cols:3);
+            ("a port cell made an obstacle", port_on_obstacle) ]);
     case "unlimited budget and no chaos: identical to the default run"
       (fun () ->
         let t = Layouts.paper_array 8 in

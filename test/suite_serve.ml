@@ -817,7 +817,17 @@ let exit_code_tests =
         checki "NaN confidence" 2
           (run_cli "diagnose -n 4 --inject sa0:1 --confidence nan");
         checki "negative confidence" 2
-          (run_cli "diagnose -n 4 --inject sa0:1 --confidence=-1"));
+          (run_cli "diagnose -n 4 --inject sa0:1 --confidence=-1");
+        let file = Filename.temp_file "fpva" ".layout" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove file)
+          (fun () ->
+            Out_channel.with_open_text file (fun oc ->
+                output_string oc port_on_obstacle_text);
+            checki "port against an obstacle in show" 2
+              (run_cli ("show --layout-file " ^ file));
+            checki "port against an obstacle in generate" 2
+              (run_cli ("generate --layout-file " ^ file))));
     case "exit 3 on strict degradation (budget timeout)" (fun () ->
         checki "generate --strict under a zero budget" 3
           (run_cli "generate -n 6 --time-limit 0 --strict");
@@ -836,6 +846,23 @@ let exit_code_tests =
               --retry-budget-ms 200"));
   ]
 
+let layout_rejection_tests =
+  [
+    case "a port against an obstacle is a bad_request" (fun () ->
+        with_server (fun _ addr ->
+            match
+              call addr
+                (Protocol.Generate
+                   { layout = port_on_obstacle_text; gen = default_gen })
+            with
+            | Error e -> Alcotest.fail e
+            | Ok json ->
+              check Alcotest.string "code" "bad_request" (error_code_of json)));
+  ]
+
+(* New groups go last, so the index of every earlier case (as used by
+   [test_main.exe test serve N]) stays where it was. *)
 let tests =
   json_tests @ protocol_tests @ cache_tests @ stats_tests @ server_tests
   @ checkpoint_serve_tests @ retry_cap_tests @ exit_code_tests
+  @ layout_rejection_tests
