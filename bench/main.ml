@@ -647,23 +647,41 @@ let campaign_bench ~trials () =
         tps
         (tps /. (float_of_int jobs *. Float.max j1_tps 1e-9)))
     sweep;
-  (* Traced twin: the same sharded run with tracing on must reproduce the
+  (* Traced twins: the same sharded run with tracing on must reproduce the
      jobs=1 rows bit-for-bit (tracing reads only clocks and counters, never
      an RNG stream), and per-batch aggregation must keep its overhead
-     small. *)
+     small.  The overhead is the median traced/untraced wall-time ratio
+     over pairs of that run, alternating which side goes first: one run
+     takes 5-11 ms on a 2-vCPU VM, so a single ratio read -26.5 % to
+     +2.9 %. *)
   let module Trace = Fpva_util.Trace in
-  Trace.reset ();
-  Trace.enable ();
-  let traced = Campaign.run ~config:kernel_config ~jobs:2 fpva ~vectors in
-  Trace.disable ();
-  let untraced_j2_wall = float_of_int kernel_total /. Float.max (tps_of 2) 1e-9 in
-  let trace_overhead_pct =
-    100.0
-    *. ((traced.Campaign.wall_seconds /. Float.max untraced_j2_wall 1e-9)
-       -. 1.0)
+  let jobs2 ~traced =
+    if traced then begin
+      Trace.reset ();
+      Trace.enable ()
+    end;
+    Fun.protect ~finally:Trace.disable (fun () ->
+        Campaign.run ~config:kernel_config ~jobs:2 fpva ~vectors)
   in
-  Printf.printf "traced jobs=2 overhead vs untraced: %.1f%%\n"
-    trace_overhead_pct;
+  let overhead_pairs =
+    List.init 5 (fun i ->
+        let traced_first = i mod 2 = 0 in
+        let a = jobs2 ~traced:traced_first in
+        let b = jobs2 ~traced:(not traced_first) in
+        if traced_first then (a, b) else (b, a))
+  in
+  let trace_overhead_pct =
+    let ratios =
+      List.map
+        (fun (t, u) ->
+          t.Campaign.wall_seconds /. Float.max u.Campaign.wall_seconds 1e-9)
+        overhead_pairs
+    in
+    100.0 *. (Fpva_util.Stats.percentile (Array.of_list ratios) 50.0 -. 1.0)
+  in
+  Printf.printf
+    "traced jobs=2 overhead vs untraced: %.1f%% (median of %d pairs)\n"
+    trace_overhead_pct (List.length overhead_pairs);
   let metrics =
     List.filter_map
       (fun (name, v) -> if v = 0 then None else Some (name, Json.Int v))
@@ -701,7 +719,9 @@ let campaign_bench ~trials () =
       holds "sharded_rows_identical_across_jobs"
         (List.for_all (fun (_, (rows, _)) -> compare rows j1_rows = 0) sweep);
       holds "traced_rows_identical"
-        (compare traced.Campaign.rows j1_rows = 0);
+        (List.for_all
+           (fun (t, _) -> compare t.Campaign.rows j1_rows = 0)
+           overhead_pairs);
       gate ~enforced:multicore "parallel_speedup_j4_vs_j1"
         (Json.Float parallel_speedup) (Json.Float 2.0)
         (parallel_speedup >= 2.0);

@@ -31,9 +31,9 @@ let integrality_eps = 1e-6
 type node = { lower : float array; upper : float array; depth : int }
 
 (* Most-fractional branching: the integer variable whose LP value is closest
-   to .5 splits the domain most evenly. *)
+   to .5 splits the domain most evenly; -1 when every one is integral. *)
 let pick_branch_var lp values =
-  let best = ref None in
+  let best = ref (-1) and best_score = ref 0.0 in
   for j = 0 to Lp.num_vars lp - 1 do
     let v = Lp.var_of_index lp j in
     if Lp.is_integral_kind (Lp.var_kind lp v) then begin
@@ -41,13 +41,14 @@ let pick_branch_var lp values =
       let frac = x -. Float.round x in
       if abs_float frac > integrality_eps then begin
         let score = abs_float (abs_float frac -. 0.5) in
-        match !best with
-        | Some (_, s) when s <= score -> ()
-        | Some _ | None -> best := Some (j, score)
+        if !best < 0 || not (!best_score <= score) then begin
+          best := j;
+          best_score := score
+        end
       end
     end
   done;
-  Option.map fst !best
+  !best
 
 (* Rounding heuristic: snap integer variables to the nearest integer inside
    their node bounds and accept the point if it satisfies the full model. *)
@@ -73,14 +74,11 @@ let bound_allows_improvement sense lp_obj incumbent_obj =
 
 let solve ?(options = default_options) lp =
   let sense = Lp.sense lp in
-  let n = Lp.num_vars lp in
   match
     if options.presolve then Presolve.bounds lp
     else
-      Presolve.Tightened
-        { lower = Array.init n (fun j -> Lp.var_lower lp (Lp.var_of_index lp j));
-          upper = Array.init n (fun j -> Lp.var_upper lp (Lp.var_of_index lp j));
-          rounds = 0; fixed = 0 }
+      let lower, upper = Lp.bounds lp in
+      Presolve.Tightened { lower; upper; rounds = 0; fixed = 0 }
   with
   | Presolve.Proven_infeasible -> Infeasible
   | Presolve.Tightened { lower = root_lower; upper = root_upper; _ } ->
@@ -102,6 +100,7 @@ let solve ?(options = default_options) lp =
     if options.time_limit = infinity then infinity
     else Fpva_util.Timer.now () +. options.time_limit
   in
+  let relaxation = Simplex.prepare lp in
   let rec loop () =
     match !stack with
     | [] -> ()
@@ -113,13 +112,14 @@ let solve ?(options = default_options) lp =
         incr nodes;
         Trace.incr nodes_c;
         (match
-           Simplex.solve ?max_iters:options.lp_iteration_limit
-             ~lower_override:node.lower ~upper_override:node.upper lp
+           Simplex.solve_prepared ?max_iters:options.lp_iteration_limit
+             ~deadline relaxation ~lower:node.lower ~upper:node.upper
          with
         | Simplex.Infeasible -> ()
         | Simplex.Iteration_limit ->
-          (* Cannot trust the node; treating it as unexplored keeps the
-             result sound (we only lose the optimality proof). *)
+          (* The pivot cap or the deadline stopped the node LP.  Cannot
+             trust the node; treating it as unexplored keeps the result
+             sound (we only lose the optimality proof). *)
           truncated := true
         | Simplex.Unbounded ->
           (* With an incumbent-free root this means the MILP itself may be
@@ -135,8 +135,8 @@ let solve ?(options = default_options) lp =
           if prune then Trace.incr prunes_c
           else begin
             match pick_branch_var lp sol.values with
-            | None -> accept sol.values
-            | Some j ->
+            | -1 -> accept sol.values
+            | j ->
               (match try_rounding lp node sol.values with
               | Some x -> accept x
               | None -> ());

@@ -5,6 +5,11 @@
     with this module and solved either by the LP relaxation ({!Simplex}) or
     exactly ({!Branch_bound}).
 
+    Constraints are stored as compressed sparse rows (CSR): one array of
+    row offsets, and one array each of variable indices and coefficients,
+    the offsets a cumulative sum of the row lengths.  The solvers read that
+    form through {!rows}.
+
     Variables are identified by opaque handles; a handle is only valid for
     the model that created it. *)
 
@@ -37,7 +42,8 @@ val add_var : t -> ?lower:float -> ?upper:float -> kind -> var
 
 val add_constr : t -> term list -> relation -> float -> unit
 (** [add_constr t terms rel rhs] adds the constraint [terms rel rhs].
-    Repeated variables in [terms] are summed. *)
+    Repeated variables in [terms] are summed into their first occurrence,
+    and a variable whose coefficients sum to [0.] is dropped. *)
 
 val set_objective : t -> ?constant:float -> term list -> unit
 (** Replaces the objective function.  The default objective is [0]. *)
@@ -50,6 +56,26 @@ val num_vars : t -> int
 val num_constrs : t -> int
 
 (** {2 Introspection (used by the solvers and tests)} *)
+
+type rows = private {
+  off : int array;
+      (** row [i]'s terms are at [off.(i)] .. [off.(i + 1) - 1];
+          [num_constrs + 1] entries, [off.(0) = 0] *)
+  col : int array;  (** the variable index of each term *)
+  coef : float array;  (** its coefficient, never [0.] *)
+  rel : relation array;  (** by row *)
+  rhs : float array;  (** by row *)
+}
+(** The constraints, frozen: each row's terms in the order of
+    {!constr_terms}. *)
+
+val rows : t -> rows
+(** [rows t] is built once and returned again until the next
+    {!add_constr}, which leaves earlier values intact.  The arrays are
+    shared: read them, never write them. *)
+
+val bounds : t -> float array * float array
+(** Fresh copies of the lower and upper bounds, by {!var_index}. *)
 
 val var_of_index : t -> int -> var
 (** @raise Invalid_argument if out of range. *)
@@ -66,10 +92,6 @@ val objective_terms : t -> term list
 
 val constr_terms : t -> int -> term list
 (** Terms of the [i]th constraint, with duplicate variables merged. *)
-
-val constr_relation : t -> int -> relation
-
-val constr_rhs : t -> int -> float
 
 val check_feasible : ?eps:float -> t -> float array -> bool
 (** [check_feasible t x] tests bounds, constraints and integrality of [x]

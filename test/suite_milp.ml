@@ -4,6 +4,10 @@ open Helpers
 module Lp = Fpva_milp.Lp
 module Simplex = Fpva_milp.Simplex
 module Bb = Fpva_milp.Branch_bound
+module Trace = Fpva_util.Trace
+module Timer = Fpva_util.Timer
+module Layouts = Fpva_grid.Layouts
+open Fpva_testgen
 
 let solve_expect_opt lp =
   match Simplex.solve lp with
@@ -413,5 +417,80 @@ let bb_tests =
         | Bb.Unbounded, _ -> false);
   ]
 
+(* ---------- One workspace per solve, and deadlines inside node LPs ---------- *)
+
+(* The exact engine's single-path model on a full 4x4, unit weight on the
+   required edges: 618 pivots over 5 nodes. *)
+let full_4x4_lp () =
+  let prob, _ = Flow_path.problem (Layouts.full ~rows:4 ~cols:4) in
+  let weight =
+    Array.map (fun r -> if r then 1.0 else 0.0) prob.Problem.required
+  in
+  Path_ilp.single_path_lp prob ~weight
+
+let workspace_tests =
+  [
+    case "a branch-and-bound solve allocates at most 100 words per pivot"
+      (fun () ->
+        let lp = full_4x4_lp () in
+        Trace.reset ();
+        Trace.enable ();
+        let traced =
+          Fun.protect ~finally:Trace.disable (fun () -> Bb.solve lp)
+        in
+        let pivots = Trace.count (Trace.counter "simplex.pivots") in
+        checki "pivots" 618 pivots;
+        checki "nodes" 5 (Trace.count (Trace.counter "bb.nodes"));
+        (match traced with
+        | Bb.Optimal s ->
+          check (Alcotest.float 1e-5) "objective" 14.99937 s.Simplex.objective
+        | _ -> Alcotest.fail "expected optimal");
+        (* Only native code keeps the pivot arithmetic unboxed. *)
+        if Sys.backend_type = Sys.Native then begin
+          let before = Gc.minor_words () in
+          ignore (Sys.opaque_identity (Bb.solve lp));
+          let w = (Gc.minor_words () -. before) /. float_of_int pivots in
+          checkb (Printf.sprintf "%.1f words per pivot" w) true (w <= 100.0)
+        end);
+    qcheck ~count:200 "a reused workspace solves like a fresh one"
+      QCheck2.Gen.(
+        pair random_lp_gen (list_size (int_range 1 6) (int_bound 10_000)))
+      (fun (spec, salts) ->
+        (* Boxes inside [0, 3], one in six with an empty domain, and pivot
+           caps that stop some solves midway, so each solve starts from
+           whatever the last one left. *)
+        let module Rng = Fpva_util.Rng in
+        let lp = build_random_lp spec in
+        let n = Lp.num_vars lp in
+        let prepared = Simplex.prepare lp in
+        List.for_all
+          (fun salt ->
+            let rng = Rng.create salt in
+            let lower = Array.init n (fun _ -> float_of_int (Rng.int rng 2)) in
+            let upper =
+              Array.init n (fun _ -> float_of_int (2 + Rng.int rng 2))
+            in
+            if Rng.int rng 6 = 0 then upper.(Rng.int rng n) <- -1.0;
+            let max_iters =
+              if Rng.bool rng then None else Some (1 + Rng.int rng 4)
+            in
+            compare
+              (Simplex.solve_prepared ?max_iters prepared ~lower ~upper)
+              (Simplex.solve ?max_iters ~lower_override:lower
+                 ~upper_override:upper lp)
+            = 0)
+          salts);
+    case "time_limit stops a long root LP" (fun () ->
+        (* The joint model of a paper 5x5 with 4 slots spends seconds in its
+           root relaxation; the deadline must reach inside it. *)
+        let prob, _ = Flow_path.problem (Layouts.paper_array 5) in
+        let bb_options = { Bb.default_options with Bb.time_limit = 0.05 } in
+        let t0 = Timer.now () in
+        let cover = Path_ilp.minimum_cover ~bb_options prob ~max_paths:4 in
+        let dt = Timer.elapsed t0 in
+        checkb "no cover" true (cover = None);
+        checkb (Printf.sprintf "returned after %.2f s" dt) true (dt < 1.0));
+  ]
+
 let tests =
-  lp_tests @ simplex_tests @ random_lp_tests @ bb_tests
+  lp_tests @ simplex_tests @ random_lp_tests @ bb_tests @ workspace_tests

@@ -499,9 +499,10 @@ let cover_tests =
 
 (* ---------- pinned suites ----------
 
-   Suite texts pinned by digest, with the path-search steps the traced run
-   spent: any change to the search's draw order, candidate order or step
-   accounting moves these.  Beside the paper's arrays under the default
+   Suite texts pinned by digest, with the path-search steps, simplex pivots
+   and branch-and-bound nodes the traced run spent: any change to the
+   search's draw order, candidate order or step accounting, or to the
+   simplex's pricing, ratio test or arithmetic, moves these.  Beside the paper's arrays under the default
    configuration, the rows pin figure8 (the only one whose cut stage stalls
    three times and runs its targeted pass and pierced probes), figure9
    (whose hierarchy falls back to the direct cover for 18 of its 19 flow
@@ -533,7 +534,7 @@ let ilp_config =
 
 let pinned_tests =
   List.map
-    (fun (name, layout, config, total, digest, steps) ->
+    (fun (name, layout, config, total, digest, (steps, pivots, nodes)) ->
       slow_case (name ^ " suite is pinned") (fun () ->
           let t = layout () in
           Trace.reset ();
@@ -546,27 +547,29 @@ let pinned_tests =
           check Alcotest.string "digest" digest
             (Digest.to_hex
                (Digest.string (Suite_io.to_string t r.Pipeline.vectors)));
-          checki "path_search.steps" steps
-            (Trace.count (Trace.counter "path_search.steps"))))
+          let count name = Trace.count (Trace.counter name) in
+          checki "path_search.steps" steps (count "path_search.steps");
+          checki "simplex.pivots" pivots (count "simplex.pivots");
+          checki "bb.nodes" nodes (count "bb.nodes")))
     Fpva_grid.Layouts.
       [ ("paper 5x5", (fun () -> paper_array 5), Pipeline.default_config, 17,
-         "7d0c3a4bb6968c0577de3d33c6702658", 2_490_274);
+         "7d0c3a4bb6968c0577de3d33c6702658", (2_490_274, 0, 0));
         ("paper 10x10", (fun () -> paper_array 10), Pipeline.default_config,
-         40, "20a29170625e8a0c54d13b3a9937aca4", 6_400_262);
+         40, "20a29170625e8a0c54d13b3a9937aca4", (6_400_262, 0, 0));
         ("figure8", figure8, Pipeline.default_config, 44,
-         "2bedb51af5f36e40f26d138570a9d2be", 8_140_141);
+         "2bedb51af5f36e40f26d138570a9d2be", (8_140_141, 0, 0));
         ("figure9", figure9, Pipeline.default_config, 88,
-         "b75514033efce2874457e87ff198d130", 19_769_680);
+         "b75514033efce2874457e87ff198d130", (19_769_680, 0, 0));
         ("direct paper 10x10", (fun () -> paper_array 10),
          Pipeline.direct_config, 34, "b16ca49944ef4466947e90c6a3fefa1c",
-         6_400_357);
+         (6_400_357, 0, 0));
         ("ILP full 4x4", (fun () -> full ~rows:4 ~cols:4), ilp_config, 15,
-         "e48f0708a10974e8b4dad5729d183cd5", 0);
+         "e48f0708a10974e8b4dad5729d183cd5", (0, 58_374, 659));
         ("irregular 10x12", irregular_two_source, Pipeline.default_config, 66,
-         "e7967698d8e299ce37764a4eebe1b14e", 13_730_000);
+         "e7967698d8e299ce37764a4eebe1b14e", (13_730_000, 0, 0));
         ("direct irregular 10x12", irregular_two_source,
          Pipeline.direct_config, 66, "e7967698d8e299ce37764a4eebe1b14e",
-         13_000_000) ]
+         (13_000_000, 0, 0)) ]
 
 let tests =
   problem_tests @ search_tests @ oracle_tests @ ilp_tests @ cover_tests
