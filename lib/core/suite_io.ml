@@ -1,52 +1,100 @@
 open Fpva_grid
 
-let bits_of_bools a =
-  String.init (Array.length a) (fun i -> if a.(i) then '1' else '0')
+(* The writers below go straight into the one buffer: a number is written
+   digit by digit, a bit string char by char, so the text costs no
+   intermediate strings. *)
+let rec add_int buf n =
+  if n < 0 then Buffer.add_string buf (string_of_int n)
+  else begin
+    if n >= 10 then add_int buf (n / 10);
+    Buffer.add_char buf (Char.chr (48 + (n mod 10)))
+  end
 
-let cells_to_string cells =
-  String.concat ";"
-    (List.map
-       (fun (c : Coord.cell) -> Printf.sprintf "(%d,%d)" c.Coord.row c.Coord.col)
-       cells)
+let add_bits buf key a =
+  Buffer.add_string buf key;
+  for i = 0 to Array.length a - 1 do
+    Buffer.add_char buf (if Array.unsafe_get a i then '1' else '0')
+  done;
+  Buffer.add_char buf '\n'
 
-let kind_lines fpva (v : Test_vector.t) =
-  ignore fpva;
-  match v.Test_vector.kind with
-  | Test_vector.Flow p ->
-    [ Printf.sprintf "kind flow %d %d" p.Flow_path.source p.Flow_path.sink;
-      "cells " ^ cells_to_string p.Flow_path.cells ]
-  | Test_vector.Leak p ->
-    [ Printf.sprintf "kind leak %d %d" p.Flow_path.source p.Flow_path.sink;
-      "cells " ^ cells_to_string p.Flow_path.cells ]
-  | Test_vector.Pierced (p, target) ->
-    [ Printf.sprintf "kind pierced %d %d %d" p.Flow_path.source
-        p.Flow_path.sink target;
-      "cells " ^ cells_to_string p.Flow_path.cells ]
-  | Test_vector.Cut c ->
-    [ "kind cut";
-      "cut "
-      ^ String.concat ";" (List.map string_of_int c.Cut_set.valve_ids) ]
+(* [kind <name> <source> <sink>], then the pierced valve if any, then the
+   [cells] line. *)
+let add_path buf name ?target (p : Flow_path.t) =
+  Buffer.add_string buf "kind ";
+  Buffer.add_string buf name;
+  Buffer.add_char buf ' ';
+  add_int buf p.Flow_path.source;
+  Buffer.add_char buf ' ';
+  add_int buf p.Flow_path.sink;
+  Option.iter
+    (fun v ->
+      Buffer.add_char buf ' ';
+      add_int buf v)
+    target;
+  Buffer.add_string buf "\ncells ";
+  List.iteri
+    (fun i (c : Coord.cell) ->
+      if i > 0 then Buffer.add_char buf ';';
+      Buffer.add_char buf '(';
+      add_int buf c.Coord.row;
+      Buffer.add_char buf ',';
+      add_int buf c.Coord.col;
+      Buffer.add_char buf ')')
+    p.Flow_path.cells;
+  Buffer.add_char buf '\n'
 
 let to_string fpva vectors =
   let buf = Buffer.create 4096 in
+  let header key n =
+    Buffer.add_string buf key;
+    add_int buf n;
+    Buffer.add_char buf '\n'
+  in
   Buffer.add_string buf "fpva-suite 1\n";
-  Buffer.add_string buf (Printf.sprintf "rows %d\n" (Fpva.rows fpva));
-  Buffer.add_string buf (Printf.sprintf "cols %d\n" (Fpva.cols fpva));
-  Buffer.add_string buf (Printf.sprintf "valves %d\n" (Fpva.num_valves fpva));
-  Buffer.add_string buf
-    (Printf.sprintf "ports %d\n" (Array.length (Fpva.ports fpva)));
+  header "rows " (Fpva.rows fpva);
+  header "cols " (Fpva.cols fpva);
+  header "valves " (Fpva.num_valves fpva);
+  header "ports " (Array.length (Fpva.ports fpva));
   List.iter
     (fun (v : Test_vector.t) ->
-      Buffer.add_string buf (Printf.sprintf "vector %s\n" v.Test_vector.label);
-      List.iter
-        (fun line -> Buffer.add_string buf (line ^ "\n"))
-        (kind_lines fpva v);
-      Buffer.add_string buf
-        ("states " ^ bits_of_bools v.Test_vector.open_valves ^ "\n");
-      Buffer.add_string buf ("golden " ^ bits_of_bools v.Test_vector.golden ^ "\n");
+      Buffer.add_string buf "vector ";
+      Buffer.add_string buf v.Test_vector.label;
+      Buffer.add_char buf '\n';
+      (match v.Test_vector.kind with
+      | Test_vector.Flow p -> add_path buf "flow" p
+      | Test_vector.Leak p -> add_path buf "leak" p
+      | Test_vector.Pierced (p, target) -> add_path buf "pierced" ~target p
+      | Test_vector.Cut c ->
+        Buffer.add_string buf "kind cut\ncut ";
+        List.iteri
+          (fun i v ->
+            if i > 0 then Buffer.add_char buf ';';
+            add_int buf v)
+          c.Cut_set.valve_ids;
+        Buffer.add_char buf '\n');
+      add_bits buf "states " v.Test_vector.open_valves;
+      add_bits buf "golden " v.Test_vector.golden;
       Buffer.add_string buf "end\n")
     vectors;
   Buffer.contents buf
+
+(* The last suite digested, keyed by the physical identity of its
+   compilation and of its vector list: [Compiled.get] returns a new
+   compilation after every layout mutation, and a list and its vectors
+   never change once built. *)
+let last_digest :
+    (Compiled.t * Test_vector.t list * (string * string)) option Atomic.t =
+  Atomic.make None
+
+let digest fpva vectors =
+  let comp = Compiled.get fpva in
+  match Atomic.get last_digest with
+  | Some (c, vs, d) when c == comp && vs == vectors -> d
+  | Some _ | None ->
+    let hex text = Digest.to_hex (Digest.string text) in
+    let d = (hex (Render.plain fpva), hex (to_string fpva vectors)) in
+    Atomic.set last_digest (Some (comp, vectors, d));
+    d
 
 let write_file path fpva vectors =
   let oc = open_out path in

@@ -29,6 +29,13 @@ open Fpva_grid
 
 val to_string : Fpva.t -> Test_vector.t list -> string
 
+val digest : Fpva.t -> Test_vector.t list -> string * string
+(** [(layout, suite)]: the hex MD5 of [Render.plain fpva] and of
+    [to_string fpva vectors], the digests every checkpoint key pins.  The
+    last suite digested is remembered, keyed by the physical identity of
+    the layout's current compilation ({!Fpva_grid.Compiled.get}) and of
+    the vector list, so repeated keys for one suite render it once. *)
+
 val write_file : string -> Fpva.t -> Test_vector.t list -> unit
 
 val of_string : Fpva.t -> string -> (Test_vector.t list, string) result

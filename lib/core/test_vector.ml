@@ -11,6 +11,7 @@ type t = {
   kind : kind;
   open_valves : bool array;
   golden : bool array;
+  region : string;
 }
 
 let golden_response fpva ~open_valves =
@@ -20,6 +21,18 @@ let golden_response fpva ~open_valves =
   Compiled.with_scratch comp (fun s ->
       Graph.pressurized_sinks_c comp s ~open_valve:(fun vid ->
           open_valves.(vid)))
+
+(* One fault-free sweep gives both the golden response and the region. *)
+let make ~label kind fpva ~open_valves =
+  let comp = Compiled.get fpva in
+  let golden = Array.make (Compiled.num_ports comp) false in
+  let region =
+    Compiled.with_scratch comp (fun s ->
+        Graph.pressurized_region comp s
+          ~open_valve:(fun vid -> open_valves.(vid))
+          ~into:golden)
+  in
+  { label; kind; open_valves; golden; region }
 
 let states_of_open_list fpva valve_ids =
   let states = Array.make (Fpva.num_valves fpva) false in
@@ -34,20 +47,17 @@ let states_of_closed_list fpva valve_ids =
 let of_flow_path ?label fpva (path : Flow_path.t) =
   let open_valves = states_of_open_list fpva path.Flow_path.valve_ids in
   let label = Option.value label ~default:"flow" in
-  { label; kind = Flow path; open_valves;
-    golden = golden_response fpva ~open_valves }
+  make ~label (Flow path) fpva ~open_valves
 
 let of_cut_set ?label fpva (cut : Cut_set.t) =
   let open_valves = states_of_closed_list fpva cut.Cut_set.valve_ids in
   let label = Option.value label ~default:"cut" in
-  { label; kind = Cut cut; open_valves;
-    golden = golden_response fpva ~open_valves }
+  make ~label (Cut cut) fpva ~open_valves
 
 let of_leak_path ?label fpva (path : Flow_path.t) =
   let open_valves = states_of_open_list fpva path.Flow_path.valve_ids in
   let label = Option.value label ~default:"leak" in
-  { label; kind = Leak path; open_valves;
-    golden = golden_response fpva ~open_valves }
+  make ~label (Leak path) fpva ~open_valves
 
 let of_pierced_path ?label fpva (path : Flow_path.t) v =
   if not (List.mem v path.Flow_path.valve_ids) then
@@ -55,8 +65,7 @@ let of_pierced_path ?label fpva (path : Flow_path.t) v =
   let open_valves = states_of_open_list fpva path.Flow_path.valve_ids in
   open_valves.(v) <- false;
   let label = Option.value label ~default:(Printf.sprintf "pierced-%d" v) in
-  { label; kind = Pierced (path, v); open_valves;
-    golden = golden_response fpva ~open_valves }
+  make ~label (Pierced (path, v)) fpva ~open_valves
 
 let open_count t =
   Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 t.open_valves

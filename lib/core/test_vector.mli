@@ -30,6 +30,9 @@ type t = {
   kind : kind;
   open_valves : bool array;  (** by valve id; [true] = valve held open *)
   golden : bool array;  (** by port index; expected pressure presence *)
+  region : string;
+      (** by {!Fpva_grid.Compiled} node id: ['\001'] for every node the
+          fault-free sweep reaches, ['\000'] elsewhere *)
 }
 (** Invariant: [golden] equals [golden_response fpva ~open_valves] for the
     chip the vector was built for.  The constructors below establish it,
@@ -37,10 +40,22 @@ type t = {
     differs.  The simulator's reads rely on it: a chip whose effective
     valve states equal [open_valves] responds with [golden], so both the
     scalar read and the batched one skip the pressure sweep for it.
-    Neither array may be mutated once built. *)
+
+    Invariant: [region] is the set of nodes that same fault-free sweep
+    visits, one byte per node of the chip's compilation, so it holds
+    port [i]'s node exactly when [golden.(i)] is [true].  The
+    constructors fill it from the sweep that fills [golden].  The batched
+    read relies on it: a trial whose faults only open valves reaches at
+    least this set, so its sweep starts from it instead of from the
+    sources.  No array may be mutated once built. *)
 
 val golden_response : Fpva.t -> open_valves:bool array -> bool array
 (** Fault-free port pressures under a valve-state assignment. *)
+
+val make : label:string -> kind -> Fpva.t -> open_valves:bool array -> t
+(** A vector commanding [open_valves], its [golden] and [region] from one
+    fault-free sweep.  The constructors below all build through it; it
+    does not check [kind] against [open_valves] ({!well_formed} does). *)
 
 val of_flow_path : ?label:string -> Fpva.t -> Flow_path.t -> t
 

@@ -18,6 +18,7 @@ type t = {
   adj_node : int array;
   adj_edge : int array;
   valve_edges : Coord.edge array;
+  valve_ends : int array;
   source_nodes : int array;
   sink_node_mask : bool array;
   leak_pairs : (int * int) array option Atomic.t;
@@ -78,6 +79,19 @@ let of_fpva fpva =
       adj_node.(k) <- v;
       adj_edge.(k) <- e;
       cursor.(u) <- k + 1);
+  (* Valve [v]'s arc joins nodes [valve_ends.(2v)] and [valve_ends.(2v+1)];
+     both stay [-1] for a valve without an arc. *)
+  let num_valves = Fpva.num_valves fpva in
+  let valve_ends = Array.make (2 * num_valves) (-1) in
+  for u = 0 to num_nodes - 1 do
+    for k = adj_off.(u) to adj_off.(u + 1) - 1 do
+      let e = adj_edge.(k) in
+      if e >= 0 && valve_ends.(2 * e) < 0 then begin
+        valve_ends.(2 * e) <- u;
+        valve_ends.((2 * e) + 1) <- adj_node.(k)
+      end
+    done
+  done;
   let source_nodes = ref [] in
   let sink_node_mask = Array.make num_nodes false in
   Array.iteri
@@ -91,11 +105,12 @@ let of_fpva fpva =
     num_cells;
     num_ports;
     num_nodes;
-    num_valves = Fpva.num_valves fpva;
+    num_valves;
     adj_off;
     adj_node;
     adj_edge;
     valve_edges = Fpva.valves fpva;
+    valve_ends;
     source_nodes = Array.of_list (List.rev !source_nodes);
     sink_node_mask;
     leak_pairs = Atomic.make None;
@@ -211,40 +226,59 @@ let create_batch_scratch t =
    each growth re-enqueues it — so the worklist is a ring ([binq] keeps a
    node in it at most once, bounding occupancy by [num_nodes]).  Masks are
    monotone under [lor], so the sweep reaches the per-lane reachability
-   fixpoint and terminates; per lane the result is exactly the scalar
-   BFS's.
+   fixpoint and terminates.
+
+   Grow lanes start at their fault-free region instead of the sources.
+   Such a lane sees every valve of the region's assignment open, so each
+   region node is reachable for it: its start is below its fixpoint.  The
+   region is closed under the assignment's open arcs, so the lane can
+   leave it only across a valve it opens beyond them, and such a valve
+   needs a push only when exactly one of its ends lies in the region.
+   Pushing that end and propagating over the lane's open arcs reaches the
+   least fixpoint above the start, which is exactly the lane's reachable
+   set: per lane the result is the scalar BFS's.  The other lanes flood
+   from the sources.
 
    This is the campaign's innermost loop (hundreds of edge slots per
    sweep, one sweep per vector per 63 trials), so it is tuned on three
-   axes.  (1) It trades the scalar BFS's generation stamps for two
-   O(num_nodes) fills — cheaper than a stamp compare on every slot at
-   these node counts.  (2) It uses unchecked array access; every index
-   is structurally in range: [bqueue]/[bregrow]/[binq]/[bmask] are sized
-   [num_nodes] and only indexed by CSR node ids or a ring cursor
-   (wrapped at [num_nodes]); [adj_*] slots come from the CSR offsets;
-   edge ids index [open_mask], whose length the caller has checked
-   against [num_valves].  (3) Regrowth is deferred: a first visit (mask
-   was zero) joins the primary frontier, but a node whose mask *re*grows
-   — a lane arriving late because a closed valve forced it on a detour —
-   parks on [bregrow], drained only when the primary ring is empty.
-   Late lanes with different detour lengths thus coalesce into one
-   combined front instead of each re-sweeping the downstream region on
-   its own, which cuts node revisits (and so edge-slot scans) by
-   roughly half on fault-heavy batches.  Pop order is irrelevant to the
-   result: masks are monotone under [lor], so any chaotic iteration
-   reaches the same unique fixpoint. *)
-let pressurized_batch_into t (s : batch_scratch) ~active ~open_mask ~into =
+   axes.  (1) It trades the scalar BFS's generation stamps for one
+   O(num_nodes) fill, which also seeds the grow lanes; [binq] needs no
+   fill, since every push is matched by a pop that clears its flag.
+   (2) It uses unchecked array access; every index is structurally in
+   range: [bqueue]/[bregrow]/[binq]/[bmask] are sized [num_nodes] and
+   only indexed by CSR node ids or a ring cursor (wrapped at
+   [num_nodes]); [adj_*] slots come from the CSR offsets; edge ids index
+   [open_mask], whose length is checked against [num_valves], and node
+   ids index [region], whose length is checked against [num_nodes].
+   (3) Regrowth is deferred: a first visit (mask was zero) joins the
+   primary frontier, but a node whose mask *re*grows — a lane arriving
+   late because a closed valve forced it on a detour — parks on
+   [bregrow], drained only when the primary ring is empty.  Late lanes
+   with different detour lengths thus coalesce into one combined front
+   instead of each re-sweeping the downstream region on its own, which
+   cuts node revisits (and so edge-slot scans) by roughly half on
+   fault-heavy batches.  Pop order is irrelevant to the result: masks are
+   monotone under [lor], so any chaotic iteration reaches the same unique
+   fixpoint. *)
+let pressurized_batch_into t (s : batch_scratch) ~active ~grow ~region
+    ~opened ~num_opened ~open_mask ~into =
   let nn = t.num_nodes in
   if Array.length open_mask <= t.num_valves then
     invalid_arg "Compiled.pressurized_batch_into: open_mask too short";
+  if String.length region < nn then
+    invalid_arg "Compiled.pressurized_batch_into: region too short";
   (* Slot [num_valves] is the sentinel for non-valve arcs: always open. *)
   open_mask.(t.num_valves) <- -1;
   let mask = s.bmask in
-  Array.fill mask 0 nn 0;
+  (* Grow lanes on every region node ('\001' negates to all ones), no
+     lane anywhere else. *)
+  for n = 0 to nn - 1 do
+    Array.unsafe_set mask n
+      (grow land -Char.code (String.unsafe_get region n))
+  done;
   if active <> 0 then begin
     let off = t.adj_off and nodes = t.adj_node and edges = s.bedges in
     let q1 = s.bqueue and q2 = s.bregrow and inq = s.binq in
-    Array.fill inq 0 nn 0;
     (* [binq] keeps a node in at most one of the two rings, so each ring
        holds at most [num_nodes] entries. *)
     let h1 = ref 0 and t1 = ref 0 and n1 = ref 0 in
@@ -263,11 +297,23 @@ let pressurized_batch_into t (s : batch_scratch) ~active ~open_mask ~into =
       if !t2 = nn then t2 := 0;
       incr n2
     in
-    Array.iter
-      (fun n ->
-        mask.(n) <- active;
-        if inq.(n) = 0 then push1 n)
-      t.source_nodes;
+    if active land lnot grow <> 0 then
+      Array.iter
+        (fun n ->
+          mask.(n) <- active;
+          if inq.(n) = 0 then push1 n)
+        t.source_nodes;
+    for i = 0 to num_opened - 1 do
+      let v = opened.(i) in
+      if open_mask.(v) land grow <> 0 then begin
+        let a = t.valve_ends.(2 * v) and b = t.valve_ends.((2 * v) + 1) in
+        if a >= 0 then begin
+          let in_a = region.[a] <> '\000' and in_b = region.[b] <> '\000' in
+          let n = if in_a = in_b then -1 else if in_a then a else b in
+          if n >= 0 && inq.(n) = 0 then push1 n
+        end
+      end
+    done;
     while !n1 > 0 || !n2 > 0 do
       let u =
         if !n1 > 0 then begin

@@ -150,8 +150,12 @@ type batch_scratch = {
   bregrow : int array;
       (** secondary ring: regrown nodes, drained when [bqueue] empties so
           late (detoured) lane fronts merge into one combined sweep *)
-  bmask : int array;  (** per-node lane mask, zero-filled at sweep start *)
-  binq : int array;  (** in-worklist flags (a node queues at most once) *)
+  bmask : int array;
+      (** per-node lane mask, set to the grow lanes on region nodes and
+          to zero elsewhere at sweep start *)
+  binq : int array;
+      (** in-worklist flags (a node queues at most once); all zero
+          between sweeps *)
   bedges : int array;
       (** [adj_edge] with non-valve arcs rewritten to the sentinel edge id
           [num_valves], so the hot loop's open-mask lookup is branch-free *)
@@ -160,13 +164,27 @@ type batch_scratch = {
 val create_batch_scratch : t -> batch_scratch
 
 val pressurized_batch_into :
-  t -> batch_scratch -> active:int -> open_mask:int array -> into:int array ->
-  unit
-(** [pressurized_batch_into t s ~active ~open_mask ~into] writes, for
-    every port [i], the set of [active] lanes whose trial pressurises
-    that port ([into] must have [num_ports] slots).  [open_mask] needs
-    [num_valves + 1] slots: one per valve, plus a trailing scratch slot
-    the sweep overwrites with [-1] (the always-open sentinel for
-    non-valve arcs).  Lanes outside [active] come back 0.
-    Allocation-free; the scratch must not be shared across concurrent
+  t -> batch_scratch -> active:int -> grow:int -> region:string ->
+  opened:int array -> num_opened:int -> open_mask:int array ->
+  into:int array -> unit
+(** [pressurized_batch_into t s ~active ~grow ~region ~opened ~num_opened
+    ~open_mask ~into] writes, for every port [i], the set of [active]
+    lanes whose trial pressurises that port ([into] must have
+    [num_ports] slots).  [open_mask] needs [num_valves + 1] slots: one
+    per valve, plus a trailing scratch slot the sweep overwrites with
+    [-1] (the always-open sentinel for non-valve arcs).  Lanes outside
+    [active] come back 0.
+
+    [grow] (a subset of [active]) names the lanes that only add open
+    valves to one fault-free assignment; [region] is that assignment's
+    pressurized node set, byte [n] ['\001'] iff node [n] is reached
+    (as [Test_vector.region] stores it), so it holds every source.  A
+    grow lane must see every valve open that the assignment opens, and
+    [opened.(0 .. num_opened - 1)] must list every valve some grow lane
+    sees open beyond them (extra entries cost a check each).  The sweep
+    starts the grow lanes on the region and pushes only the region ends
+    of those valves; every other lane floods from the sources.  Pass
+    [~grow:0 ~num_opened:0] for a plain sweep, with any [region] of
+    [num_nodes] bytes.  It allocates only its worklist cursors, a few
+    words per call; the scratch must not be shared across concurrent
     sweeps. *)

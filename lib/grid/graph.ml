@@ -53,6 +53,12 @@ let pressurized_into comp scratch ~open_valve ~into =
     into.(i) <- seen.(base + i) = g
   done
 
+let pressurized_region comp scratch ~open_valve ~into =
+  pressurized_into comp scratch ~open_valve ~into;
+  let seen = scratch.Compiled.seen and g = scratch.Compiled.gen in
+  String.init (Compiled.num_nodes comp) (fun n ->
+      if seen.(n) = g then '\001' else '\000')
+
 let pressurized_sinks_c comp scratch ~open_valve =
   let into = Array.make (Compiled.num_ports comp) false in
   pressurized_into comp scratch ~open_valve ~into;

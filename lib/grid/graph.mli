@@ -26,6 +26,12 @@ val pressurized_into :
   into:bool array -> unit
 (** Write per-port pressure into [into] (length ≥ [num_ports]). *)
 
+val pressurized_region :
+  Compiled.t -> Compiled.scratch -> open_valve:(int -> bool) ->
+  into:bool array -> string
+(** {!pressurized_into}, also returning every node the sweep reaches:
+    byte [n] is ['\001'] iff node [n] has pressure, ['\000'] otherwise. *)
+
 val pressurized_sinks_c :
   Compiled.t -> Compiled.scratch -> open_valve:(int -> bool) -> bool array
 

@@ -178,12 +178,11 @@ let classes_tag classes = String.concat "," (List.map Fault.class_name classes)
    are jobs-invariant, so a run may be resumed with a different worker
    count. *)
 let checkpoint_key (config : config) fpva ~vectors =
+  let layout, suite = Fpva_testgen.Suite_io.digest fpva vectors in
   let b = Buffer.create 256 in
   Printf.bprintf b
     "campaign/v1\nlayout=%s\nsuite=%s\ntrials=%d\nseed=%d\ncounts=%s\nclasses=%s\n"
-    (Digest.to_hex (Digest.string (Fpva_grid.Render.plain fpva)))
-    (Digest.to_hex (Digest.string (Fpva_testgen.Suite_io.to_string fpva vectors)))
-    config.trials config.seed
+    layout suite config.trials config.seed
     (String.concat "," (List.map string_of_int config.fault_counts))
     (classes_tag config.classes);
   Buffer.contents b
@@ -412,12 +411,11 @@ type noisy_outcome =
 
 let noisy_checkpoint_key (config : noise_config) fpva ~vectors =
   let base = config.base in
+  let layout, suite = Fpva_testgen.Suite_io.digest fpva vectors in
   let b = Buffer.create 256 in
   Printf.bprintf b
     "campaign-noisy/v1\nlayout=%s\nsuite=%s\ntrials=%d\nseed=%d\ncounts=%s\nclasses=%s\nlevels=%s\nrepeats=%d\n"
-    (Digest.to_hex (Digest.string (Fpva_grid.Render.plain fpva)))
-    (Digest.to_hex (Digest.string (Fpva_testgen.Suite_io.to_string fpva vectors)))
-    base.trials base.seed
+    layout suite base.trials base.seed
     (String.concat "," (List.map string_of_int base.fault_counts))
     (classes_tag base.classes)
     (* exact IEEE bits: a level printed with %g could collide *)

@@ -40,11 +40,10 @@ let syndrome_of fpva ~vectors ~faults =
   syndrome_of_h (Simulator.make fpva) ~vectors ~faults
 
 let checkpoint_key fpva ~vectors ~faults =
+  let layout, suite = Fpva_testgen.Suite_io.digest fpva vectors in
   let b = Buffer.create 256 in
-  Printf.bprintf b "diagnosis/v1\nlayout=%s\nsuite=%s\nfaults=%s\n"
-    (Digest.to_hex (Digest.string (Fpva_grid.Render.plain fpva)))
-    (Digest.to_hex
-       (Digest.string (Fpva_testgen.Suite_io.to_string fpva vectors)))
+  Printf.bprintf b "diagnosis/v1\nlayout=%s\nsuite=%s\nfaults=%s\n" layout
+    suite
     (Digest.to_hex
        (Digest.string (String.concat ";" (List.map Fault.to_string faults))));
   Buffer.contents b

@@ -128,6 +128,8 @@ type batch = {
   bt_open : int array;  (* per valve: lanes seeing it open, rebuilt per vector *)
   bt_sa1 : int array;  (* per valve: lanes forcing it open *)
   bt_sa0 : int array;  (* per valve: lanes forcing it closed *)
+  bt_sa1_valves : int array;  (* the valves with an SA1 lane, in load order *)
+  mutable bt_num_sa1 : int;  (* entries of [bt_sa1_valves] in use *)
   mutable bt_leaks : (int * int * int) list;  (* lane bit, aggressor, victim *)
   bt_obs : int array;  (* per port: lanes pressurising it *)
 }
@@ -143,6 +145,8 @@ let make_batch fpva =
     bt_open = Array.make (nv + 1) 0;
     bt_sa1 = Array.make (max nv 1) 0;
     bt_sa0 = Array.make (max nv 1) 0;
+    bt_sa1_valves = Array.make (max nv 1) 0;
+    bt_num_sa1 = 0;
     bt_leaks = [];
     bt_obs = Array.make (Compiled.num_ports comp) 0 }
 
@@ -151,6 +155,7 @@ let batch_fpva b = b.bt_fpva
 let batch_reset b =
   Array.fill b.bt_sa1 0 (Array.length b.bt_sa1) 0;
   Array.fill b.bt_sa0 0 (Array.length b.bt_sa0) 0;
+  b.bt_num_sa1 <- 0;
   b.bt_leaks <- []
 
 let batch_set_lane b lane ~faults =
@@ -162,7 +167,12 @@ let batch_set_lane b lane ~faults =
       (* Intermittents collapse to their deterministic worst case, exactly
          as [effective_states_into] does via [Fault.underlying]. *)
       match Fault.underlying f with
-      | Fault.Stuck_at_1 v -> b.bt_sa1.(v) <- b.bt_sa1.(v) lor bit
+      | Fault.Stuck_at_1 v ->
+        if b.bt_sa1.(v) = 0 then begin
+          b.bt_sa1_valves.(b.bt_num_sa1) <- v;
+          b.bt_num_sa1 <- b.bt_num_sa1 + 1
+        end;
+        b.bt_sa1.(v) <- b.bt_sa1.(v) lor bit
       | Fault.Stuck_at_0 v -> b.bt_sa0.(v) <- b.bt_sa0.(v) lor bit
       | Fault.Control_leak (a, v) -> b.bt_leaks <- (bit, a, v) :: b.bt_leaks
       | Fault.Intermittent _ -> assert false)
@@ -180,32 +190,36 @@ let batch_detects b ~alive (v : Tv.t) =
        closed, matching the scalar pass order.  [sa1]/[sa0] have [nv]
        slots, [om] has [nv + 1], and [ov]'s length was checked above.
 
-       The same pass collects [dev], the lanes whose effective state
-       differs from the commanded state on at least one valve: a
-       commanded-open valve deviates for the lanes its SA0 forces
-       closed, a commanded-closed one for the lanes its SA1 forces
-       open.  A lane outside [dev] drives exactly the fault-free valve
-       states, so its observation is the golden response by definition
-       — it cannot detect, and the sweep can skip it. *)
+       The same pass collects the lanes whose effective state differs
+       from the commanded state on at least one valve: [shrink], the
+       lanes an SA0 closes a commanded-open valve for, and [opened], the
+       lanes an SA1 opens a commanded-closed valve for.  A lane in
+       neither drives exactly the fault-free valve states, so its
+       observation is the golden response by definition — it cannot
+       detect, and the sweep can skip it.  A lane outside [shrink] only
+       opens valves: it reaches at least [v]'s region, and the sweep
+       starts it there. *)
     let sa1 = b.bt_sa1 and sa0 = b.bt_sa0 in
-    let dev = ref 0 in
+    let shrink = ref 0 and opened = ref 0 in
     for vid = 0 to nv - 1 do
       let sa1v = Array.unsafe_get sa1 vid
       and sa0v = Array.unsafe_get sa0 vid in
       if Array.unsafe_get ov vid then begin
         Array.unsafe_set om vid ((alive lor sa1v) land lnot sa0v);
-        dev := !dev lor sa0v
+        shrink := !shrink lor sa0v
       end
       else begin
         Array.unsafe_set om vid (sa1v land lnot sa0v);
-        dev := !dev lor sa1v
+        opened := !opened lor sa1v
       end
     done;
-    let active = alive land !dev in
+    let active = alive land (!shrink lor !opened) in
     if active = 0 then 0
     else begin
       Compiled.pressurized_batch_into b.bt_comp b.bt_scratch ~active
-        ~open_mask:om ~into:b.bt_obs;
+        ~grow:(active land lnot !shrink) ~region:v.Tv.region
+        ~opened:b.bt_sa1_valves ~num_opened:b.bt_num_sa1 ~open_mask:om
+        ~into:b.bt_obs;
       (* A lane detects iff any port's observation differs from golden —
          the lane-wise transcription of [detects_h]'s array compare,
          restricted to the lanes that could deviate at all. *)
@@ -241,7 +255,10 @@ let batch_detects b ~alive (v : Tv.t) =
     for vid = 0 to nv - 1 do
       om.(vid) <- (om.(vid) lor b.bt_sa1.(vid)) land lnot b.bt_sa0.(vid)
     done;
+    (* Every lane floods from the sources: a leak closes its victim, so
+       a batch with leaks does not split off grow lanes. *)
     Compiled.pressurized_batch_into b.bt_comp b.bt_scratch ~active:alive
+      ~grow:0 ~region:v.Tv.region ~opened:b.bt_sa1_valves ~num_opened:0
       ~open_mask:om ~into:b.bt_obs;
     (* A lane detects iff any port's observation differs from golden —
        the lane-wise transcription of [detects_h]'s array compare. *)

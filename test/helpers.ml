@@ -75,6 +75,13 @@ let qcheck_layout ?(count = 100) name prop =
        QCheck2.Gen.(int_bound 1_000_000)
        (fun seed -> prop (random_layout (Fpva_util.Rng.create seed))))
 
+(* The paper 20x20 and its default suite, generated once for every suite
+   that needs them: the layout and suite of the paper's fault study. *)
+let paper20 =
+  lazy
+    (let t = Layouts.paper_array 20 in
+     (t, (Fpva_testgen.Pipeline.run_exn t).Fpva_testgen.Pipeline.vectors))
+
 let small_full_layout rows cols =
   let t = Fpva.create ~rows ~cols in
   Fpva.add_port t

@@ -170,6 +170,40 @@ let contract_tests =
           (k <> Campaign.checkpoint_key (config 600 2) fpva ~vectors);
         checkb "trials in key" true
           (k <> Campaign.checkpoint_key (config 500 1) fpva ~vectors));
+    case "the key texts of the paper 10x10 default suite are pinned"
+      (fun () ->
+        (* Journals written before this digest keep resuming only while
+           these texts stay byte-identical. *)
+        let t = Layouts.paper_array 10 in
+        let vectors = (Pipeline.run_exn t).Pipeline.vectors in
+        let digest key = Digest.to_hex (Digest.string key) in
+        check Alcotest.string "campaign" "21fcd65057614d21cd4a6c18c3cd9b24"
+          (digest (Campaign.checkpoint_key Campaign.default_config t ~vectors));
+        check Alcotest.string "noisy campaign"
+          "0892c519cc5f30fb7a1b5d1f944a5ca8"
+          (digest
+             (Campaign.noisy_checkpoint_key Campaign.default_noise_config t
+                ~vectors));
+        check Alcotest.string "diagnosis" "d1aa177251aa73a13d66bd7d3cedb48e"
+          (digest
+             (Diagnosis.checkpoint_key t ~vectors
+                ~faults:(Diagnosis.single_faults t))));
+    case "an equal suite shares the key, a different suite or layout not"
+      (fun () ->
+        (* The suite digest is remembered by the identity of the list and
+           of the layout's compilation: an equal suite in a fresh list
+           must still get the key its text gives, and neither a shorter
+           suite nor a mutated layout may get a remembered one. *)
+        let fpva = Fpva.copy (Lazy.force six) and vectors = Lazy.force suite in
+        let key vectors = Campaign.checkpoint_key (config 600 1) fpva ~vectors in
+        let k = key vectors in
+        let fresh = (Pipeline.run_exn fpva).Pipeline.vectors in
+        checkb "a fresh list" true (fresh != vectors);
+        check Alcotest.string "equal suite, fresh list" k (key fresh);
+        checkb "shorter suite" true (k <> key (List.tl vectors));
+        check Alcotest.string "equal suite again" k (key vectors);
+        Fpva.set_edge fpva (Fpva.edge_of_valve fpva 0) Fpva.Open_channel;
+        checkb "mutated layout" true (k <> key vectors));
     case "ENOSPC mid-run degrades checkpointing, not the campaign"
       (fun () ->
         let fpva = Lazy.force six and vectors = Lazy.force suite in

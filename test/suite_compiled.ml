@@ -175,10 +175,99 @@ let traversal_tests =
   ]
 
 (* The bit-parallel sweep must agree with the scalar BFS on every lane:
-   each lane carries an independent random open-valve assignment, and
    extracting lane [l] of the batched per-port masks must reproduce
    [pressurized_into] under that lane's assignment exactly — including
    lanes outside [active], which must come back all-zero. *)
+let lanes_match comp ~width ~grow ~region ~opened ~open_mask =
+  (* [1 lsl 63] is unspecified on 63-bit ints: the full-width mask is all
+     ones, i.e. [-1]. *)
+  let active =
+    if width = Compiled.batch_width then -1 else (1 lsl width) - 1
+  in
+  let np = Compiled.num_ports comp in
+  let into = Array.make np 0 in
+  let bs = Compiled.create_batch_scratch comp in
+  Compiled.pressurized_batch_into comp bs ~active ~grow:(grow land active)
+    ~region ~opened ~num_opened:(Array.length opened) ~open_mask ~into;
+  let scratch = Compiled.create_scratch comp in
+  let expect = Array.make np false in
+  let ok = ref true in
+  for l = 0 to Compiled.batch_width - 1 do
+    if l < width then begin
+      Graph.pressurized_into comp scratch
+        ~open_valve:(fun v -> open_mask.(v) land (1 lsl l) <> 0)
+        ~into:expect;
+      for p = 0 to np - 1 do
+        if (into.(p) land (1 lsl l) <> 0) <> expect.(p) then ok := false
+      done
+    end
+    else
+      for p = 0 to np - 1 do
+        if into.(p) land (1 lsl l) <> 0 then ok := false
+      done
+  done;
+  !ok
+
+(* A stuck-at batch against the commanded state [cmd], as the simulator
+   builds it: per lane, SA1 on up to three valves ([sa1_pool] picks
+   them), and SA0 on one commanded-open valve for a lane that [shrinks],
+   else at most on a commanded-closed one, which leaves it a grow lane.
+   The lane's open mask is the commanded state, opened by its SA1s, then
+   closed by its SA0s; the grow lanes are read off the masks (every
+   commanded-open valve open for them), not off the draw, and [opened]
+   lists every SA1 valve, commanded-open ones included. *)
+let stuck_batch rng comp ~cmd ~width ~sa1_pool ~shrinks =
+  let module R = Fpva_util.Rng in
+  let nv = Compiled.num_valves comp in
+  let with_state b = List.filter (fun v -> cmd.(v) = b) (List.init nv Fun.id) in
+  let cmd_open = Array.of_list (with_state true)
+  and cmd_closed = Array.of_list (with_state false) in
+  let pick a = a.(R.int rng (Array.length a)) in
+  let sa1 = Array.make nv 0 and sa0 = Array.make nv 0 in
+  let opened = ref [] in
+  for l = 0 to width - 1 do
+    let bit = 1 lsl l in
+    for _ = 1 to R.int rng 4 do
+      let v = pick sa1_pool in
+      if sa1.(v) = 0 then opened := v :: !opened;
+      sa1.(v) <- sa1.(v) lor bit
+    done;
+    if shrinks l && Array.length cmd_open > 0 then begin
+      let v = pick cmd_open in
+      sa0.(v) <- sa0.(v) lor bit
+    end
+    else if R.bool rng && Array.length cmd_closed > 0 then begin
+      let v = pick cmd_closed in
+      sa0.(v) <- sa0.(v) lor bit
+    end
+  done;
+  let open_mask =
+    Array.init (nv + 1) (fun v ->
+        if v = nv then 0
+        else if cmd.(v) then lnot sa0.(v)
+        else sa1.(v) land lnot sa0.(v))
+  in
+  let grow = Array.fold_left (fun g v -> g land open_mask.(v)) (-1) cmd_open in
+  (grow, Array.of_list !opened, open_mask)
+
+(* The commanded state's region, as a vector stores it. *)
+let region_of comp cmd =
+  let into = Array.make (Compiled.num_ports comp) false in
+  Graph.pressurized_region comp (Compiled.create_scratch comp)
+    ~open_valve:(fun v -> cmd.(v)) ~into
+
+(* Grow-only, non-grow and mixed batches on [cmd]. *)
+let commanded_cases_match rng comp ~cmd ~width ~sa1_pool =
+  let module R = Fpva_util.Rng in
+  let region = region_of comp cmd in
+  List.for_all
+    (fun shrinks ->
+      let grow, opened, open_mask =
+        stuck_batch rng comp ~cmd ~width ~sa1_pool ~shrinks
+      in
+      lanes_match comp ~width ~grow ~region ~opened ~open_mask)
+    [ (fun _ -> false); (fun _ -> true); (fun _ -> R.bool rng) ]
+
 let batch_tests =
   [
     qcheck ~count:60 "batched traversal matches scalar on every lane"
@@ -189,40 +278,48 @@ let batch_tests =
         let t = random_layout rng in
         let comp = Compiled.get t in
         let nv = Compiled.num_valves comp in
-        let np = Compiled.num_ports comp in
         let width = 1 + R.int rng Compiled.batch_width in
-        (* [1 lsl 63] is unspecified on 63-bit ints: the full-width mask
-           is all ones, i.e. [-1]. *)
-        let active =
-          if width = Compiled.batch_width then -1 else (1 lsl width) - 1
-        in
-        (* One slot per valve plus the sweep's sentinel scratch slot. *)
+        (* A plain sweep: random per-lane open bits across all 63 lanes,
+           including lanes above [width] that the sweep must ignore. *)
         let open_mask = Array.init (nv + 1) (fun _ ->
-            (* Random per-lane open bits across all 63 lanes, including
-               lanes above [width] that the sweep must ignore. *)
             R.int rng max_int lor (if R.bool rng then min_int else 0))
         in
-        let into = Array.make np 0 in
-        let bs = Compiled.create_batch_scratch comp in
-        Compiled.pressurized_batch_into comp bs ~active ~open_mask ~into;
-        let scratch = Compiled.create_scratch comp in
-        let expect = Array.make np false in
-        let ok = ref true in
-        for l = 0 to Compiled.batch_width - 1 do
-          if l < width then begin
-            Graph.pressurized_into comp scratch
-              ~open_valve:(fun v -> open_mask.(v) land (1 lsl l) <> 0)
-              ~into:expect;
-            for p = 0 to np - 1 do
-              if (into.(p) land (1 lsl l) <> 0) <> expect.(p) then ok := false
-            done
-          end
-          else
-            for p = 0 to np - 1 do
-              if into.(p) land (1 lsl l) <> 0 then ok := false
-            done
-        done;
-        !ok);
+        let all_closed = Array.make nv false in
+        lanes_match comp ~width ~grow:0 ~region:(region_of comp all_closed)
+          ~opened:[||] ~open_mask
+        (* Seeded sweeps: a random commanded state (half its valves open,
+           where one valve matters most), and the all-closed one, whose
+           region holds only the sources and what open channels join to
+           them. *)
+        && List.for_all
+             (fun cmd ->
+               commanded_cases_match rng comp ~cmd ~width
+                 ~sa1_pool:(Array.init nv Fun.id))
+             [ Array.init nv (fun _ -> R.bool rng); all_closed ]);
+    case "seeded sweep matches scalar beside an obstacle" (fun () ->
+        (* Every SA1 draws from the valves around the obstacle at (2,2), on
+           a region that reaches it and on one that holds only the
+           sources. *)
+        let t = small_full_layout 5 5 in
+        Fpva.set_obstacle t (Coord.cell 2 2);
+        let comp = Compiled.get t in
+        let nv = Compiled.num_valves comp in
+        let beside =
+          List.concat_map
+            (fun (r, c) ->
+              List.filter_map
+                (fun d ->
+                  Fpva.valve_id_opt t (Coord.edge_towards (Coord.cell r c) d))
+                Coord.all_dirs)
+            [ (1, 2); (3, 2); (2, 1); (2, 3) ]
+        in
+        let rng = Fpva_util.Rng.create 11 in
+        List.iter
+          (fun cmd ->
+            checkb "every lane matches" true
+              (commanded_cases_match rng comp ~cmd ~width:Compiled.batch_width
+                 ~sa1_pool:(Array.of_list beside)))
+          [ Array.init nv (fun v -> v mod 2 = 0); Array.make nv false ]);
     case "batch scratch reuse across sweeps is safe" (fun () ->
         let t = small_full_layout 4 4 in
         let comp = Compiled.get t in
@@ -231,12 +328,14 @@ let batch_tests =
         let nv = Compiled.num_valves comp + 1 in
         let all = Array.make np 0 and none = Array.make np 0 in
         let again = Array.make np 0 in
-        Compiled.pressurized_batch_into comp bs ~active:(-1)
-          ~open_mask:(Array.make nv (-1)) ~into:all;
-        Compiled.pressurized_batch_into comp bs ~active:(-1)
-          ~open_mask:(Array.make nv 0) ~into:none;
-        Compiled.pressurized_batch_into comp bs ~active:(-1)
-          ~open_mask:(Array.make nv (-1)) ~into:again;
+        let region = String.make (Compiled.num_nodes comp) '\000' in
+        let sweep open_mask into =
+          Compiled.pressurized_batch_into comp bs ~active:(-1) ~grow:0 ~region
+            ~opened:[||] ~num_opened:0 ~open_mask ~into
+        in
+        sweep (Array.make nv (-1)) all;
+        sweep (Array.make nv 0) none;
+        sweep (Array.make nv (-1)) again;
         check (Alcotest.array Alcotest.int) "generations isolate sweeps" all
           again;
         checkb "closed sweep saw the closures" true (all <> none));

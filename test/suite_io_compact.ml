@@ -10,6 +10,21 @@ open Fpva_sim
 
 let io_tests =
   [
+    case "to_string allocates at most a minor word per byte (20x20)"
+      (fun () ->
+        (* The text goes straight into one buffer; a suite of 92 164 bytes
+           cost 326 091 minor words when each line was formatted on its
+           own. *)
+        if Sys.backend_type = Sys.Native then begin
+          let t, vectors = Lazy.force paper20 in
+          let before = Gc.minor_words () in
+          let text = Suite_io.to_string t vectors in
+          let w =
+            (Gc.minor_words () -. before)
+            /. float_of_int (String.length text)
+          in
+          checkb (Printf.sprintf "%.3f words per byte" w) true (w <= 1.0)
+        end);
     case "round-trips a full pipeline suite" (fun () ->
         let t = Layouts.paper_array 5 in
         let suite = Pipeline.run_exn t in

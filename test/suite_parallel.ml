@@ -405,13 +405,34 @@ let concurrency_tests =
         checki "failed calls" 0 (here + Domain.join other));
   ]
 
-let leak_class_tests =
+(* Whole rows, escapes included, digested at jobs 1 and 2.  Update a
+   pinned digest deliberately, never casually. *)
+let check_rows_digest ~config t ~vectors digest =
+  let render (row : Campaign.row) =
+    Printf.sprintf "%d %d %d %d %d %h %s" row.Campaign.fault_count
+      row.Campaign.trials row.Campaign.detected row.Campaign.short_draws
+      row.Campaign.void_draws row.Campaign.mean_latency
+      (String.concat ";"
+         (List.map
+            (fun fs -> String.concat "," (List.map Fault.to_string fs))
+            row.Campaign.escapes))
+  in
+  List.iter
+    (fun jobs ->
+      let r = Campaign.run ~config ~jobs t ~vectors in
+      check Alcotest.string
+        (Printf.sprintf "rows digest at jobs=%d" jobs)
+        digest
+        (Digest.to_hex
+           (Digest.string
+              (String.concat "\n" (List.map render r.Campaign.rows)))))
+    [ 1; 2 ]
+
+let pinned_row_tests =
   [
     case "pinned leak-class rows (8x8, 200 trials, sa0/sa1/leak)" (fun () ->
-        (* Whole rows, escapes included, of the ideal campaign with
-           control leaks in the draw: pins the order in which leak draws
-           read the pair table.  Update the digest deliberately, never
-           casually. *)
+        (* The ideal campaign with control leaks in the draw: pins the
+           order in which leak draws read the pair table. *)
         let t = Layouts.paper_array 8 in
         let vectors = (Pipeline.run_exn t).Pipeline.vectors in
         let config =
@@ -419,29 +440,21 @@ let leak_class_tests =
             Campaign.trials = 200;
             classes = [ `Stuck_at_0; `Stuck_at_1; `Control_leak ] }
         in
-        let render (row : Campaign.row) =
-          Printf.sprintf "%d %d %d %d %d %h %s" row.Campaign.fault_count
-            row.Campaign.trials row.Campaign.detected
-            row.Campaign.short_draws row.Campaign.void_draws
-            row.Campaign.mean_latency
-            (String.concat ";"
-               (List.map
-                  (fun fs -> String.concat "," (List.map Fault.to_string fs))
-                  row.Campaign.escapes))
+        check_rows_digest ~config t ~vectors
+          "1c969ca959f4790114a97f122d2114db");
+    case "pinned ideal rows (20x20, sa0/sa1, counts 1-5)" (fun () ->
+        (* The fault study's layout and suite, where most sweeps carry
+           only lanes whose faults open valves and start from the
+           vector's region. *)
+        let t, vectors = Lazy.force paper20 in
+        let config =
+          { Campaign.default_config with Campaign.trials = 2000; seed = 7 }
         in
-        List.iter
-          (fun jobs ->
-            let r = Campaign.run ~config ~jobs t ~vectors in
-            check Alcotest.string
-              (Printf.sprintf "rows digest at jobs=%d" jobs)
-              "1c969ca959f4790114a97f122d2114db"
-              (Digest.to_hex
-                 (Digest.string
-                    (String.concat "\n" (List.map render r.Campaign.rows)))))
-          [ 1; 2 ]);
+        check_rows_digest ~config t ~vectors
+          "a1bd9743c8775be2aebd0c7918b7f4c9");
   ]
 
 let tests =
   jobs_parity_tests @ validation_tests @ diagnosis_tests @ pool_failure_tests
   @ budget_tests @ oracle_tests @ reference_bfs_tests @ concurrency_tests
-  @ leak_class_tests
+  @ pinned_row_tests

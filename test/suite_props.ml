@@ -197,6 +197,37 @@ let tests =
                 detects = List.mem v tested)
               p.Flow_path.valve_ids)
           paths);
+    qcheck_layout ~count:8
+      "every generated vector's region is the fault-free visit set" (fun t ->
+        (* The reference walk's visited cells and ports, against the bytes
+           of each vector's region, in compiled node order: cells
+           row-major, then ports.  A region holds port i exactly when the
+           golden response does. *)
+        let suite = Pipeline.run_exn t in
+        let comp = Compiled.get t in
+        let nc = Compiled.num_cells comp in
+        List.for_all
+          (fun (v : Test_vector.t) ->
+            let seen_cell, seen_port =
+              Graph_oracle.bfs t
+                ~open_edge:(fun e ->
+                  v.Test_vector.open_valves.(Fpva.valve_id t e))
+                ~from:(Graph_oracle.source_nodes t)
+            in
+            let region = v.Test_vector.region in
+            String.length region = Compiled.num_nodes comp
+            && List.for_all
+                 (fun n ->
+                   let visited =
+                     if n < nc then seen_cell.(n) else seen_port.(n - nc)
+                   in
+                   region.[n] = if visited then '\001' else '\000')
+                 (List.init (Compiled.num_nodes comp) Fun.id)
+            && Array.for_all Fun.id
+                 (Array.mapi
+                    (fun i g -> (region.[Compiled.port_node comp i] = '\001') = g)
+                    v.Test_vector.golden))
+          suite.Pipeline.vectors);
     qcheck_layout ~count:20 "suite round-trips through Suite_io" (fun t ->
         let suite = Pipeline.run_exn t in
         match Suite_io.of_string t (Suite_io.to_string t suite.Pipeline.vectors) with
@@ -237,12 +268,10 @@ let tests =
         for _ = 1 to 25 do
           let open_valves = Array.init nv (fun _ -> R.bool rng) in
           let v =
-            { Test_vector.label = "random";
-              kind =
-                Test_vector.Cut
-                  { Cut_set.valves = []; valve_ids = []; corners = [] };
-              open_valves;
-              golden = Test_vector.golden_response t ~open_valves }
+            Test_vector.make ~label:"random"
+              (Test_vector.Cut
+                 { Cut_set.valves = []; valve_ids = []; corners = [] })
+              t ~open_valves
           in
           let faults =
             List.init (1 + R.int rng 3) (fun _ ->
