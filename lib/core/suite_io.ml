@@ -224,24 +224,18 @@ let of_string fpva text =
             let* path = path_of_cells fpva num ~source:s ~sink:t cells in
             Ok (`Path (style, path), rest)
           | `Cut, { num; words = "cut" :: ids; _ } :: rest ->
-            let* valve_ids =
-              List.fold_left
-                (fun acc w ->
-                  let* acc = acc in
-                  let* parsed =
-                    String.split_on_char ';' w
-                    |> List.filter (fun x -> x <> "")
-                    |> List.fold_left
-                         (fun acc x ->
-                           let* acc = acc in
-                           let* v = valve_word fpva num "valve id" x in
-                           Ok (v :: acc))
-                         (Ok [])
-                  in
-                  Ok (List.rev_append parsed acc))
-                (Ok []) ids
+            (* Ids in file order, which is the cut's own order. *)
+            let* rev_ids =
+              List.concat_map (String.split_on_char ';') ids
+              |> List.filter (fun x -> x <> "")
+              |> List.fold_left
+                   (fun acc x ->
+                     let* acc = acc in
+                     let* v = valve_word fpva num "valve id" x in
+                     Ok (v :: acc))
+                   (Ok [])
             in
-            let valve_ids = List.rev valve_ids in
+            let valve_ids = List.rev rev_ids in
             let valves = List.map (Fpva.edge_of_valve fpva) valve_ids in
             Ok (`Cut { Cut_set.valves; valve_ids; corners = [] }, rest)
           | _, { num; _ } :: _ -> fail num "structure line does not match kind"

@@ -185,6 +185,5 @@ val pressurized_batch_into :
     starts the grow lanes on the region and pushes only the region ends
     of those valves; every other lane floods from the sources.  Pass
     [~grow:0 ~num_opened:0] for a plain sweep, with any [region] of
-    [num_nodes] bytes.  It allocates only its worklist cursors, a few
-    words per call; the scratch must not be shared across concurrent
-    sweeps. *)
+    [num_nodes] bytes.  Allocation-free; the scratch must not be shared
+    across concurrent sweeps. *)

@@ -2,29 +2,60 @@ module Tv = Fpva_testgen.Test_vector
 
 type syndrome = bool array
 
-(* Everything a read needs is computed once, in [build].  The syndromes
-   are stored vector-major: byte [v * n_f + e] of [bits] is '\001' iff
-   entry [e]'s fault fails vector [v], so the per-read loops over
-   candidates are flat byte loads.  [class_of] numbers the equivalence
-   classes by first appearance, [index] maps a syndrome's [key] to its
-   class, and [classes] lists each class's faults in dictionary order. *)
+(* Everything a read needs is computed once, in [build].  [class_of]
+   numbers the equivalence classes by first appearance, [index] maps a
+   syndrome's [key] to its class, [classes] lists each class's faults in
+   dictionary order and [class_size] counts them.  The syndromes are
+   stored once per class, class-major: byte [c * n_v + v] of [table] is
+   '\001' iff class [c]'s faults fail vector [v], so a class's row is
+   contiguous. *)
 type dictionary = {
   vectors : Tv.t array;
   faults : Fault.t array;
-  bits : Bytes.t;
+  table : Bytes.t;
   class_of : int array;
   classes : Fault.t list array;
+  class_size : int array;
   index : (string, int) Hashtbl.t;
+  spare : buffers option Atomic.t;
 }
+
+(* A session's working arrays (see [Sequential.run]), [n_c] slots per
+   class array, [n_f] per fault and [n_v] per vector.  A session sets
+   every slot before it reads it, so one session's arrays serve the next:
+   the dictionary keeps the last ones in [spare].  A session takes them
+   out of the slot until it ends, so concurrent sessions on one
+   dictionary never share them. *)
+and buffers = {
+  group : int array;
+  gll : float array;
+  first : int array;
+  gw : float array;
+  next_ll : float array;
+  next_first : int array;
+  child : int array;  (* 2 per class *)
+  live_row : int array;
+  pw : float array;  (* 2 per fault *)
+  uv : int array;
+  qs : float array;
+}
+
+let new_buffers ~n_c ~n_f ~n_v =
+  { group = Array.make n_c 0; gll = Array.make n_c 0.0;
+    first = Array.make n_c 0; gw = Array.make n_c 0.0;
+    next_ll = Array.make n_c 0.0; next_first = Array.make n_c 0;
+    child = Array.make (2 * n_c) 0; live_row = Array.make n_f 0;
+    pw = Array.make (2 * n_f) 0.0; uv = Array.make n_v 0;
+    qs = Array.make n_v 0.0 }
 
 let key (s : syndrome) =
   String.init (Array.length s) (fun v -> if s.(v) then '1' else '0')
 
-(* Entry [e]'s syndrome, gathered from the vector-major bits. *)
+(* Entry [e]'s syndrome, its class's row of the table. *)
 let syndrome dict e =
-  let n_f = Array.length dict.faults in
-  Array.init (Array.length dict.vectors) (fun v ->
-      Bytes.get dict.bits ((v * n_f) + e) = '\001')
+  let n_v = Array.length dict.vectors in
+  let row = dict.class_of.(e) * n_v in
+  Array.init n_v (fun v -> Bytes.get dict.table (row + v) = '\001')
 
 let single_faults fpva =
   let nv = Fpva_grid.Fpva.num_valves fpva in
@@ -92,14 +123,10 @@ let build ?(jobs = 1) ?checkpoint fpva ~vectors ~faults =
           ()
       in
       let syndromes = Option.get grid.Checkpoint.Shards.rows.(0) in
-      let bits = Bytes.make (Array.length vecs * n) '\000' in
       let index = Hashtbl.create 64 in
       let class_of =
-        Array.mapi
-          (fun e s ->
-            Array.iteri
-              (fun v b -> if b then Bytes.set bits ((v * n) + e) '\001')
-              s;
+        Array.map
+          (fun s ->
             let k = key s in
             match Hashtbl.find_opt index k with
             | Some c -> c
@@ -109,11 +136,20 @@ let build ?(jobs = 1) ?checkpoint fpva ~vectors ~faults =
               c)
           syndromes
       in
+      let n_v = Array.length vecs in
+      let table = Bytes.make (Hashtbl.length index * n_v) '\000' in
+      Array.iteri
+        (fun e s ->
+          let row = class_of.(e) * n_v in
+          Array.iteri (fun v b -> if b then Bytes.set table (row + v) '\001') s)
+        syndromes;
       let classes = Array.make (Hashtbl.length index) [] in
       for e = n - 1 downto 0 do
         classes.(class_of.(e)) <- fa.(e) :: classes.(class_of.(e))
       done;
-      { vectors = vecs; faults = fa; bits; class_of; classes; index })
+      { vectors = vecs; faults = fa; table; class_of; classes;
+        class_size = Array.map List.length classes; index;
+        spare = Atomic.make None })
 
 let all_pass s = Array.for_all not s
 
@@ -248,6 +284,8 @@ module Sequential = struct
 
   let sessions_c = Trace.counter "diagnosis.sequential_sessions"
   let reads_c = Trace.counter "diagnosis.sequential_reads"
+  let groups_c = Trace.counter "diagnosis.sequential_groups"
+  let cells_c = Trace.counter "diagnosis.sequential_cells"
   let mean_reads_g = Trace.gauge "diagnosis.sequential_mean_reads"
 
   type config = {
@@ -282,13 +320,41 @@ module Sequential = struct
       invalid_arg
         (Printf.sprintf "Diagnosis.Sequential: confidence %g outside (0,1]" c)
 
+  (* [q] of the unread vectors [uv.(j .. j + 3)] into [qs.(j .. j + 3)]:
+     each is summed over the live faults in ascending index in its own
+     accumulator, so the four chains run independently.  A slot past
+     [last] repeats [uv.(last)] and rewrites [qs.(last)] with the same
+     sum.  Unchecked loads: [k < n_live] indexes the live faults, [pw]
+     has two slots per fault, and a row offset plus a vector index stays
+     inside the table. *)
+  let[@inline] cell table pw row o v =
+    Array.unsafe_get pw (o + Char.code (Bytes.unsafe_get table (row + v)))
+
+  let score4 table ~live_row ~pw ~n_live ~uv ~last ~qs j =
+    let j1 = min (j + 1) last and j2 = min (j + 2) last
+    and j3 = min (j + 3) last in
+    let v0 = uv.(j) and v1 = uv.(j1) and v2 = uv.(j2) and v3 = uv.(j3) in
+    let q0 = ref 0.0 and q1 = ref 0.0 and q2 = ref 0.0 and q3 = ref 0.0 in
+    for k = 0 to n_live - 1 do
+      let row = Array.unsafe_get live_row k and o = 2 * k in
+      q0 := !q0 +. cell table pw row o v0;
+      q1 := !q1 +. cell table pw row o v1;
+      q2 := !q2 +. cell table pw row o v2;
+      q3 := !q3 +. cell table pw row o v3
+    done;
+    qs.(j) <- !q0;
+    qs.(j1) <- !q1;
+    qs.(j2) <- !q2;
+    qs.(j3) <- !q3
+
   let run ?(config = ideal) dict ~read =
     check_flip_rate "Sequential.run" config.false_pass;
     check_flip_rate "Sequential.run" config.false_fail;
     check_confidence config.confidence;
     let n_f = Array.length dict.faults in
     let n_v = Array.length dict.vectors in
-    let bits = dict.bits and class_of = dict.class_of in
+    let n_c = Array.length dict.classes in
+    let table = dict.table and class_of = dict.class_of in
     let budget =
       match config.max_reads with
       | None -> n_v
@@ -308,141 +374,187 @@ module Sequential = struct
     (* P(observe fail | candidate's dictionary bit is set / clear) *)
     let p_fail_set = 1.0 -. config.false_pass
     and p_fail_clear = config.false_fail in
-    let ll = Array.make n_f 0.0 in
-    let weights = Array.make n_f 0.0 in
-    let unread = Array.make n_v true in
-    (* Softmax over survivors; fills [weights] and returns the partition
-       sum (0 when every candidate has been eliminated). *)
+    (* The last session's arrays, or fresh ones; put back by [finish]
+       (a session that raises drops them). *)
+    let spare = Atomic.exchange dict.spare None in
+    let b =
+      match spare with Some b -> b | None -> new_buffers ~n_c ~n_f ~n_v
+    in
+    (* Agreement groups.  A fault's log-likelihood is 0 plus one term per
+       read, and the term depends only on its bit for the vector read, so
+       the classes that read alike on every vector read so far share one
+       log-likelihood, bit for bit.  [group.(c)] is class [c]'s group, or
+       -1 once its likelihood is 0; group [g] has log-likelihood [gll.(g)]
+       and lowest class [first.(g)].  A read splits each group by the
+       bit, numbering the parts in class order, so [first] ascends. *)
+    let group = b.group and gll = b.gll and first = b.first and gw = b.gw in
+    let next_ll = b.next_ll and next_first = b.next_first in
+    let child = b.child in
+    Array.fill group 0 n_c 0;
+    let n_g = ref (if n_c > 0 then 1 else 0) in
+    if n_c > 0 then begin
+      gll.(0) <- 0.0;
+      first.(0) <- 0
+    end;
+    let live_classes = ref n_c and survivors = ref n_f in
+    (* The group holding the maximum-posterior fault of lowest index. *)
+    let top = ref 0 in
+    (* The live faults (posterior weight > 0) in ascending index: the
+       offset of each one's table row, and at [pw.(2k + bit)] its weight
+       times the probability that a read fails given its bit. *)
+    let live_row = b.live_row and pw = b.pw in
+    let n_live = ref 0 in
+    (* The unread vectors, ascending, and their failure masses [q]. *)
+    let uv = b.uv and qs = b.qs and n_u = ref n_v in
+    for v = 0 to n_v - 1 do
+      uv.(v) <- v
+    done;
+    let exps = ref 0 and cells = ref 0 in
+    (* Softmax over the survivors, one [exp] per group; returns the
+       partition sum (0 when every candidate has been eliminated), summed
+       over the faults in ascending index as the weights of one fault at
+       a time, and fills the live faults. *)
     let posterior () =
-      let max_ll = Array.fold_left Float.max neg_infinity ll in
-      if max_ll = neg_infinity then 0.0
+      if !n_g = 0 then 0.0
       else begin
-        let z = ref 0.0 in
-        for i = 0 to n_f - 1 do
-          let w =
-            if ll.(i) = neg_infinity then 0.0 else exp (ll.(i) -. max_ll)
-          in
-          weights.(i) <- w;
-          z := !z +. w
+        let max_ll = ref neg_infinity in
+        for g = 0 to !n_g - 1 do
+          max_ll := Float.max !max_ll gll.(g)
         done;
+        top := -1;
+        for g = 0 to !n_g - 1 do
+          gw.(g) <- exp (gll.(g) -. !max_ll);
+          if !top < 0 && gll.(g) = !max_ll then top := g
+        done;
+        exps := !exps + !n_g;
+        let z = ref 0.0 and k = ref 0 in
+        for i = 0 to n_f - 1 do
+          let c = Array.unsafe_get class_of i in
+          let g = Array.unsafe_get group c in
+          if g >= 0 then begin
+            let w = Array.unsafe_get gw g in
+            z := !z +. w;
+            if w > 0.0 then begin
+              live_row.(!k) <- c * n_v;
+              pw.(2 * !k) <- w *. p_fail_clear;
+              pw.((2 * !k) + 1) <- w *. p_fail_set;
+              incr k
+            end
+          end
+        done;
+        n_live := !k;
         !z
       end
     in
-    let survivors () =
-      let n = ref 0 in
-      for i = 0 to n_f - 1 do
-        if ll.(i) > neg_infinity then incr n
+    (* The top class's posterior mass, its members' weights added one at a
+       time: [n] additions of one weight need not round to [n] times it. *)
+    let top_mass () =
+      let w = gw.(!top) and m = ref 0.0 in
+      for _ = 1 to dict.class_size.(first.(!top)) do
+        m := !m +. w
       done;
-      !n
+      !m
     in
-    (* The isolation stop: no two survivors lie in different equivalence
-       classes.  Stops scanning at the first survivor of a second class. *)
-    let single_class () =
-      let rec scan i c =
-        if i = n_f then true
-        else if ll.(i) = neg_infinity then scan (i + 1) c
-        else if c < 0 || class_of.(i) = c then scan (i + 1) class_of.(i)
-        else false
-      in
-      scan 0 (-1)
-    in
-    let top_index () =
-      let best = ref (-1) in
-      for i = 0 to n_f - 1 do
-        if ll.(i) > neg_infinity && (!best < 0 || ll.(i) > ll.(!best)) then
-          best := i
+    (* Expected-information vector choice: q_v is the posterior
+       probability the next read of v fails; the binary entropy of q_v
+       scores how evenly v splits the surviving candidate mass (the
+       set-level generalization of [distinguishing_vector]).  Exact ties
+       between vectors are broken by the rounding of each q_v, so its
+       additions keep their order, and strict [>] keeps the lowest index
+       on ties.  Returns the chosen slot of [uv], or -1. *)
+    let choose z =
+      let n = !n_u in
+      cells := !cells + (n * !n_live);
+      let j = ref 0 in
+      while !j < n do
+        score4 table ~live_row ~pw ~n_live:!n_live ~uv ~last:(n - 1) ~qs !j;
+        j := !j + 4
+      done;
+      let best = ref (-1) and best_score = ref 0.0 in
+      for j = 0 to n - 1 do
+        let score = binary_entropy (qs.(j) /. z) in
+        if score > !best_score then begin
+          best := j;
+          best_score := score
+        end
       done;
       !best
+    in
+    (* Add the read's term to every group, splitting it by the bit; a part
+       whose likelihood reaches 0 dies. *)
+    let unset = -2 in
+    let update v o =
+      let t_set = if o then l_nfp else l_fp
+      and t_clear = if o then l_ff else l_nff in
+      Array.fill child 0 (2 * !n_g) unset;
+      let n = ref 0 in
+      live_classes := 0;
+      survivors := 0;
+      for c = 0 to n_c - 1 do
+        let g = group.(c) in
+        if g >= 0 then begin
+          let bit = Char.code (Bytes.unsafe_get table ((c * n_v) + v)) in
+          let slot = (2 * g) + bit in
+          if child.(slot) = unset then begin
+            let ll = gll.(g) +. if bit = 1 then t_set else t_clear in
+            if ll = neg_infinity then child.(slot) <- -1
+            else begin
+              next_ll.(!n) <- ll;
+              next_first.(!n) <- c;
+              child.(slot) <- !n;
+              incr n
+            end
+          end;
+          group.(c) <- child.(slot);
+          if child.(slot) >= 0 then begin
+            incr live_classes;
+            survivors := !survivors + dict.class_size.(c)
+          end
+        end
+      done;
+      n_g := !n;
+      Array.blit next_ll 0 gll 0 !n;
+      Array.blit next_first 0 first 0 !n
     in
     let steps = ref [] in
     let reads = ref 0 in
     let finish stop z =
-      let top = top_index () in
       let isolated, class_confidence =
-        if top < 0 then ([], 0.0)
-        else begin
-          let tc = class_of.(top) in
-          let members = ref [] in
-          let mass = ref 0.0 in
-          for i = n_f - 1 downto 0 do
-            if ll.(i) > neg_infinity && class_of.(i) = tc then begin
-              members := dict.faults.(i) :: !members;
-              mass := !mass +. weights.(i)
-            end
-          done;
-          (!members, if z > 0.0 then !mass /. z else 0.0)
-        end
+        if !n_g = 0 then ([], 0.0)
+        else (dict.classes.(first.(!top)), top_mass () /. z)
       in
       let all_pass =
         not (List.exists (fun (s : step) -> s.failed) !steps)
       in
-      Trace.add sessions_c 1;
-      Trace.add reads_c !reads;
+      Atomic.set dict.spare
+        (match spare with Some _ -> spare | None -> Some b);
+      if Trace.is_enabled () then begin
+        Trace.add sessions_c 1;
+        Trace.add reads_c !reads;
+        Trace.add groups_c !exps;
+        Trace.add cells_c !cells
+      end;
       { steps = List.rev !steps; reads = !reads; isolated; class_confidence;
         stop; all_pass }
     in
     let rec loop () =
       let z = posterior () in
       if z = 0.0 then finish Exhausted z
-      else if single_class () then finish Isolated z
+      else if !live_classes <= 1 then finish Isolated z
+      else if top_mass () /. z >= config.confidence then finish Confident z
+      else if !reads >= budget then finish Exhausted z
       else begin
-        let tc = class_of.(top_index ()) in
-        let top_mass = ref 0.0 in
-        for i = 0 to n_f - 1 do
-          if ll.(i) > neg_infinity && class_of.(i) = tc then
-            top_mass := !top_mass +. weights.(i)
-        done;
-        if !top_mass /. z >= config.confidence then finish Confident z
-        else if !reads >= budget then finish Exhausted z
+        let j = choose z in
+        if j < 0 then finish Exhausted z
         else begin
-          (* Expected-information vector choice: q_v is the posterior
-             probability the next read of v fails; the binary entropy of
-             q_v scores how evenly v splits the surviving candidate mass
-             (the set-level generalization of [distinguishing_vector]).
-             Strict [>] keeps the lowest index on ties. *)
-          let best = ref (-1) in
-          let best_score = ref 0.0 in
-          for v = 0 to n_v - 1 do
-            if unread.(v) then begin
-              let row = v * n_f in
-              let q = ref 0.0 in
-              for i = 0 to n_f - 1 do
-                if weights.(i) > 0.0 then begin
-                  let p =
-                    if Bytes.get bits (row + i) = '\001' then p_fail_set
-                    else p_fail_clear
-                  in
-                  q := !q +. (weights.(i) *. p)
-                end
-              done;
-              let score = binary_entropy (!q /. z) in
-              if score > !best_score then begin
-                best := v;
-                best_score := score
-              end
-            end
-          done;
-          if !best < 0 then finish Exhausted z
-          else begin
-            let v = !best in
-            let o = read v dict.vectors.(v) in
-            unread.(v) <- false;
-            incr reads;
-            let row = v * n_f in
-            for i = 0 to n_f - 1 do
-              let term =
-                match (Bytes.get bits (row + i) = '\001', o) with
-                | true, true -> l_nfp
-                | true, false -> l_fp
-                | false, true -> l_ff
-                | false, false -> l_nff
-              in
-              ll.(i) <- ll.(i) +. term
-            done;
-            steps :=
-              { vector = v; failed = o; survivors = survivors () } :: !steps;
-            loop ()
-          end
+          let v = uv.(j) in
+          Array.blit uv (j + 1) uv j (!n_u - j - 1);
+          decr n_u;
+          let o = read v dict.vectors.(v) in
+          incr reads;
+          update v o;
+          steps := { vector = v; failed = o; survivors = !survivors } :: !steps;
+          loop ()
         end
       end
     in

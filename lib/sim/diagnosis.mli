@@ -32,8 +32,9 @@ val build :
     independent, so [jobs] (default 1) shards them across that many domains
     (each with a private simulator handle); the dictionary is identical for
     every [jobs] value.  The equivalence classes are indexed here, once,
-    so {!diagnose} is one lookup and a {!Sequential} read costs no
-    hashing.
+    and each class's syndrome is stored once, in a class-major table with
+    the class sizes, so {!diagnose} is one lookup and a {!Sequential}
+    session works per class, with no hashing.
 
     [checkpoint] journals completed candidate shards through the given
     store and replays journaled ones, exactly as in
@@ -139,7 +140,21 @@ val distinguishing_vector :
     set-level generalization of {!distinguishing_vector} — and update a
     posterior over the dictionary with {!rank}'s per-bit noise
     likelihoods.  At zero noise this isolates the same equivalence class
-    as the fixed-suite {!diagnose} in (usually far) fewer reads. *)
+    as the fixed-suite {!diagnose} in (usually far) fewer reads.
+
+    A session keeps its state per equivalence class, not per fault: the
+    classes that read alike on every vector read so far share one
+    log-likelihood (an {e agreement group}), so a posterior takes one
+    [exp] per group.  The sums behind the vector choice and the
+    posterior still add one term per live fault in ascending dictionary
+    order, so outcomes are bit-identical to a per-fault session.  A
+    session reuses the working arrays of the dictionary's previous one;
+    a concurrent session on the same dictionary gets its own.  With
+    tracing on, each session adds to the counters
+    [diagnosis.sequential_sessions], [diagnosis.sequential_reads],
+    [diagnosis.sequential_groups] (groups weighed, summed over its
+    posteriors) and [diagnosis.sequential_cells] (live faults times
+    unread vectors, summed over its vector choices). *)
 module Sequential : sig
   type config = {
     false_pass : float;

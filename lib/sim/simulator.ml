@@ -178,6 +178,18 @@ let batch_set_lane b lane ~faults =
       | Fault.Intermittent _ -> assert false)
     faults
 
+(* One pass of the batch's leak rules in list order: a lane whose
+   aggressor is closed closes its victim.  Returns [changed], or true once
+   a victim closes; a pass allocates nothing. *)
+let rec leak_pass om changed = function
+  | [] -> changed
+  | (bit, a, victim) :: rest ->
+    if om.(a) land bit = 0 && om.(victim) land bit <> 0 then begin
+      om.(victim) <- om.(victim) land lnot bit;
+      leak_pass om true rest
+    end
+    else leak_pass om changed rest
+
 let batch_detects b ~alive (v : Tv.t) =
   let nv = Compiled.num_valves b.bt_comp in
   let ov = v.Tv.open_valves in
@@ -239,16 +251,8 @@ let batch_detects b ~alive (v : Tv.t) =
     (* Leak closure on the commanded states: a chaotic iteration of the
        per-lane rules (closures only accumulate, so the fixpoint is unique
        and matches the scalar per-lane iteration). *)
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      List.iter
-        (fun (bit, a, victim) ->
-          if om.(a) land bit = 0 && om.(victim) land bit <> 0 then begin
-            om.(victim) <- om.(victim) land lnot bit;
-            changed := true
-          end)
-        b.bt_leaks
+    while leak_pass om false b.bt_leaks do
+      ()
     done;
     (* SA1 forces open, then SA0 forces closed: a valve under both lands
        closed, matching the scalar pass order. *)

@@ -454,7 +454,53 @@ let pinned_row_tests =
           "a1bd9743c8775be2aebd0c7918b7f4c9");
   ]
 
+(* [Simulator.batch_detects] is allocation-free, as simulator.mli says:
+   the fault study calls it once per vector per 63 trials.  Its sweep once
+   boxed the worklist cursors (19 minor words a call) and its leak closure
+   a closure per pass. *)
+let allocation_tests =
+  [
+    case "1 000 batch_detects calls allocate nothing (20x20)" (fun () ->
+        if Sys.backend_type = Sys.Native then begin
+          let t, vectors = Lazy.force paper20 in
+          let vs = Array.of_list vectors in
+          let nv = Fpva.num_valves t and pairs = Fault.adjacent_pairs t in
+          let alive = (1 lsl Simulator.batch_width) - 1 in
+          (* SA1 lanes grow from the vector's region and SA0 lanes flood
+             from the sources; with leak lanes every lane floods. *)
+          let words fault =
+            let b = Simulator.make_batch t in
+            for lane = 0 to Simulator.batch_width - 1 do
+              Simulator.batch_set_lane b lane ~faults:[ fault lane ]
+            done;
+            let call i =
+              ignore
+                (Sys.opaque_identity
+                   (Simulator.batch_detects b ~alive
+                      vs.(i mod Array.length vs)))
+            in
+            call 0;
+            let before = Gc.minor_words () in
+            for i = 1 to 1_000 do
+              call i
+            done;
+            int_of_float (Gc.minor_words () -. before)
+          in
+          let stuck lane =
+            let v = lane * 37 mod nv in
+            if lane mod 2 = 0 then Fault.Stuck_at_1 v else Fault.Stuck_at_0 v
+          in
+          checki "stuck-at lanes" 0 (words stuck);
+          checki "with leak lanes" 0
+            (words (fun lane ->
+                 if lane mod 3 = 2 then
+                   let a, v = pairs.(lane * 101 mod Array.length pairs) in
+                   Fault.Control_leak (a, v)
+                 else stuck lane))
+        end);
+  ]
+
 let tests =
   jobs_parity_tests @ validation_tests @ diagnosis_tests @ pool_failure_tests
   @ budget_tests @ oracle_tests @ reference_bfs_tests @ concurrency_tests
-  @ pinned_row_tests
+  @ pinned_row_tests @ allocation_tests

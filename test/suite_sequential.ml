@@ -70,6 +70,48 @@ let sequential_tests =
           < 1e-9);
         checkb "p95 reads" true
           (abs_float (sw.Diagnosis.Sequential.p95_reads -. 10.0) < 1e-9));
+    case "pinned work counters on the paper 5x5 zero-noise sweep" (fun () ->
+        (* [sequential_groups] counts the agreement groups each posterior
+           weighs, one [exp] apiece; [sequential_cells] counts the live
+           faults times the unread vectors each vector choice scores.
+           At zero noise every survivor keeps log-likelihood 0, so each
+           posterior weighs one group: one before each of the 78
+           sessions' first read and one after each of the 491 reads. *)
+        let _, _, dict = Lazy.force fixture in
+        let module Trace = Fpva_util.Trace in
+        Trace.reset ();
+        Trace.enable ();
+        ignore
+          (Fun.protect ~finally:Trace.disable (fun () ->
+               Diagnosis.Sequential.sweep dict));
+        let count name = Trace.count (Trace.counter name) in
+        checki "sessions" 78 (count "diagnosis.sequential_sessions");
+        checki "reads" 491 (count "diagnosis.sequential_reads");
+        checki "groups" 569 (count "diagnosis.sequential_groups");
+        checki "cells" 233_317 (count "diagnosis.sequential_cells"));
+    case "two domains run sessions on one dictionary" (fun () ->
+        (* A session borrows the dictionary's spare working arrays; a
+           concurrent session must get its own, not share them. *)
+        let _, _, dict = Lazy.force fixture in
+        let config =
+          { Diagnosis.Sequential.false_pass = 0.01; false_fail = 0.01;
+            confidence = 0.95; max_reads = None }
+        in
+        let sweep () = (Diagnosis.Sequential.sweep ~config dict).replays in
+        let reference = sweep () in
+        let ready = Atomic.make 0 in
+        let worker () =
+          Atomic.incr ready;
+          while Atomic.get ready < 2 do Domain.cpu_relax () done;
+          let differ = ref 0 in
+          for _ = 1 to 20 do
+            if sweep () <> reference then incr differ
+          done;
+          !differ
+        in
+        let other = Domain.spawn worker in
+        let here = worker () in
+        checki "sweeps unlike the reference" 0 (here + Domain.join other));
     case "max_reads budget is respected" (fun () ->
         let _, _, dict = Lazy.force fixture in
         let config =
@@ -311,6 +353,63 @@ let index_tests =
                observations);
   ]
 
+(* Every outcome field as text, the confidence by its bits. *)
+let outcome_text (o : Seq.outcome) =
+  let b = Buffer.create 256 in
+  List.iter
+    (fun (s : Seq.step) ->
+      Printf.bprintf b "%d%c%d " s.Seq.vector
+        (if s.Seq.failed then 'F' else 'P')
+        s.Seq.survivors)
+    o.Seq.steps;
+  Printf.bprintf b "| %d %s %b %Lx |" o.Seq.reads
+    (match o.Seq.stop with
+    | Seq.Isolated -> "isolated"
+    | Seq.Confident -> "confident"
+    | Seq.Exhausted -> "exhausted")
+    o.Seq.all_pass
+    (Int64.bits_of_float o.Seq.class_confidence);
+  List.iter (fun f -> Printf.bprintf b " %s" (Fault.to_string f)) o.Seq.isolated;
+  Buffer.contents b
+
+let paper10_tests =
+  [
+    case "noisy 10x10 sessions keep their pinned outcomes" (fun () ->
+        (* The benchmark's dictionary (254 classes over 40 vectors) at its
+           configuration: meters at 0.02, a 3-read majority, confidence
+           0.95, one session per single stuck-at fault, session [i]
+           reading from stream [Rng.derive 7 i].  The digest pins every
+           outcome field, so any change to the additions behind the
+           vector choice or the posterior shows here. *)
+        let t = Layouts.paper_array 10 in
+        let vectors = (Pipeline.run_exn t).Pipeline.vectors in
+        let faults = Diagnosis.single_faults t in
+        let dict = Diagnosis.build t ~vectors ~faults in
+        let meter = Measurement.uniform t ~false_pass:0.02 ~false_fail:0.02 in
+        let config =
+          { Seq.false_pass = Measurement.vector_false_pass meter;
+            false_fail = Measurement.vector_false_fail meter;
+            confidence = 0.95; max_reads = None }
+        in
+        let h = Simulator.make t in
+        let text =
+          List.mapi
+            (fun i fault ->
+              let rng = Rng.derive 7 i in
+              let read _ v =
+                (Retest.apply (Retest.policy 3) ~read:(fun _ ->
+                     Measurement.detects_h meter rng h ~faults:[ fault ] v))
+                  .Retest.failed
+              in
+              Fault.to_string fault ^ ": "
+              ^ outcome_text (Seq.run ~config dict ~read))
+            faults
+        in
+        checki "sessions" 352 (List.length text);
+        check Alcotest.string "outcome digest" "4108a60fa8cca7252ac1ed2733b70aae"
+          (Digest.to_hex (Digest.string (String.concat "\n" text))));
+  ]
+
 (* Every observed-syndrome entry point refuses a length other than the
    dictionary's vector count, naming itself. *)
 let rejects_wrong_length name f =
@@ -487,4 +586,5 @@ let bugfix_tests =
   ]
 
 let tests =
-  sequential_tests @ index_tests @ length_tests @ lifetime_tests @ bugfix_tests
+  sequential_tests @ index_tests @ paper10_tests @ length_tests
+  @ lifetime_tests @ bugfix_tests
